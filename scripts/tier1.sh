@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Tier-1 verification: the standard build + full test suite, then a
-# resharding end-to-end smoke (a real sm_notaryd/sm_notary_router/
+# Tier-1 verification: the standard build + full test suite, then the
+# daemon smoke (tests/daemon_smoke.sh: a real sm_notaryd/sm_notary_router/
 # sm_reshard deployment splits a shard and merges it back under
-# oracle-checked loopback load — zero failed queries allowed), then a
+# oracle-checked loopback load — zero failed queries allowed — plus a
+# live-ingest run and the --query exit codes), then a
 # ThreadSanitizer build exercising the concurrency-bearing tests
 # (thread pool, corpus spine, linking pipeline, dataset index, tracker,
 # parallel world simulation, batch verifier, notary epoll server +
@@ -59,63 +60,9 @@ check_rejects ./build/tools/sm_notaryd --shard-prefix 9-1
 check_rejects ./build/tools/sm_reshard --split 1
 check_rejects ./build/tools/sm_reshard --router x:1 --split 0 --merge 0
 
-echo "== tier 1: resharding e2e smoke (split + merge back under load) =="
-smoke_dir="$(mktemp -d)"
-smoke_pids=()
-smoke_cleanup() {
-  for pid in "${smoke_pids[@]}"; do kill "$pid" 2>/dev/null || true; done
-  wait 2>/dev/null || true
-  rm -rf "$smoke_dir"
-}
-trap smoke_cleanup EXIT
-SIM=(--seed 7 --devices 300 --websites 120 --scale 0.2)
-base_port=17921
-wait_port() {
-  for _ in $(seq 1 100); do
-    if (exec 3<>"/dev/tcp/127.0.0.1/$1") 2>/dev/null; then return 0; fi
-    sleep 0.1
-  done
-  echo "port $1 never came up" >&2
-  return 1
-}
-# Unsharded oracle + two live shards + an empty successor + the router.
-./build/tools/sm_notaryd "${SIM[@]}" --port $((base_port + 1)) \
-    >"$smoke_dir/oracle.log" 2>&1 & smoke_pids+=($!)
-./build/tools/sm_notaryd "${SIM[@]}" --shard-prefix 0/2 \
-    --port $((base_port + 2)) >"$smoke_dir/shard0.log" 2>&1 & smoke_pids+=($!)
-./build/tools/sm_notaryd "${SIM[@]}" --shard-prefix 1/2 \
-    --port $((base_port + 3)) >"$smoke_dir/shard1.log" 2>&1 & smoke_pids+=($!)
-./build/tools/sm_notaryd "${SIM[@]}" --empty \
-    --port $((base_port + 4)) >"$smoke_dir/succ.log" 2>&1 & smoke_pids+=($!)
-for p in 1 2 3 4; do wait_port $((base_port + p)); done
-./build/tools/sm_notary_router --port $base_port \
-    --backend 127.0.0.1:$((base_port + 2)) \
-    --backend 127.0.0.1:$((base_port + 3)) \
-    >"$smoke_dir/router.log" 2>&1 & smoke_pids+=($!)
-wait_port $base_port
-# Oracle-checked load across the whole handoff: exits non-zero on any
-# failed query or any byte that differs from the unsharded oracle.
-./build/tools/sm_notaryd "${SIM[@]}" --probe 20000 \
-    --host 127.0.0.1 --port $base_port \
-    --oracle 127.0.0.1:$((base_port + 1)) \
-    >"$smoke_dir/probe.log" 2>&1 & probe_pid=$!
-sleep 2  # let the prober finish its world build and start querying
-./build/tools/sm_reshard --router 127.0.0.1:$base_port \
-    --split 1 --to 127.0.0.1:$((base_port + 4))
-./build/tools/sm_reshard --router 127.0.0.1:$base_port --merge 1
-if ! wait "$probe_pid"; then
-  echo "resharding smoke: probe failed" >&2
-  tail -n 5 "$smoke_dir/probe.log" >&2
-  exit 1
-fi
-tail -n 1 "$smoke_dir/probe.log"
-# A final full sweep against the post-handoff (epoch 3) layout.
-./build/tools/sm_notaryd "${SIM[@]}" --probe 2000 \
-    --host 127.0.0.1 --port $base_port \
-    --oracle 127.0.0.1:$((base_port + 1))
-smoke_cleanup
-trap - EXIT
-echo "resharding smoke OK"
+echo "== tier 1: daemon smoke (resharding, live ingest, --query exit codes) =="
+# Also registered with ctest (daemon_smoke); run here for its log.
+tests/daemon_smoke.sh build/tools
 
 tsan_tests=(thread_pool_test corpus_test linking_parallel_test linking_test
             analysis_test tracking_test util_test

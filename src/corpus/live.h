@@ -114,7 +114,7 @@ class LiveCorpus {
   /// `pool` (optional) runs the spine builds (null = global pool).
   /// `statuses` seeds the revocation sidecar; a non-empty `key_counts`
   /// marks this corpus as a prefix slice carrying injected full-corpus
-  /// degrees (sm_notaryd --shard-prefix passes both).
+  /// degrees (every sm_notaryd passes both, the whole corpus included).
   explicit LiveCorpus(scan::ScanArchive initial,
                       const net::RoutingHistory* routing = nullptr,
                       util::ThreadPool* pool = nullptr,
@@ -193,9 +193,9 @@ class LiveCorpus {
 
 /// Builds a standalone archive containing scans [first, last) of `full`
 /// and exactly the certificates they observe, re-interned densely. The
-/// segment-producer helper: sm_notaryd's ingest bench and the tests use
-/// it to split a simulated archive into an initial corpus plus a stream
-/// of appendable SMAR segments.
+/// segment-producer helper: sm_notaryd --split-segments and the tests
+/// use it to split a simulated archive into an initial corpus plus a
+/// stream of appendable SMAR segments.
 scan::ScanArchive extract_segment(const scan::ScanArchive& full,
                                   std::size_t first, std::size_t last);
 

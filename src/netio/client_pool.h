@@ -32,15 +32,10 @@
 #include <string_view>
 #include <vector>
 
+#include "netio/endpoint.h"
 #include "netio/frame.h"
 
 namespace sm::netio {
-
-/// One backend address.
-struct Endpoint {
-  std::string host;
-  std::uint16_t port = 0;
-};
 
 /// Pool tunables.
 struct ClientPoolConfig {

@@ -179,6 +179,7 @@ struct TcpServer::Impl {
   /// Returns false when the connection was closed (write error or
   /// flush-complete on a connection marked close_after_flush).
   bool flush(Worker& worker, int fd, Connection& conn) {
+    const std::size_t resume_mark = config.max_buffered_responses / 2;
     while (conn.unsent() > 0) {
       if (conn.out_off == conn.outbuf.size()) {
         // outbuf drained: promote queued frames. swap (not assign)
@@ -187,13 +188,21 @@ struct TcpServer::Impl {
         conn.out_off = 0;
         std::swap(conn.outbuf, conn.queued);
       }
+      // A paused connection sends no further than the resume mark: the
+      // kernel can accept more than half the budget in one sendmsg, and
+      // an uncapped send would jump clean over the resume band.
+      const bool paused = !conn.reading && !conn.close_after_flush;
+      const std::size_t cap = paused && conn.unsent() > resume_mark
+                                  ? conn.unsent() - resume_mark
+                                  : conn.unsent();
+      const std::size_t head = conn.outbuf.size() - conn.out_off;
       iovec iov[2];
       iov[0].iov_base = conn.outbuf.data() + conn.out_off;
-      iov[0].iov_len = conn.outbuf.size() - conn.out_off;
+      iov[0].iov_len = std::min(head, cap);
       int iovcnt = 1;
-      if (!conn.queued.empty()) {
+      if (!conn.queued.empty() && cap > head) {
         iov[1].iov_base = conn.queued.data();
-        iov[1].iov_len = conn.queued.size();
+        iov[1].iov_len = std::min(conn.queued.size(), cap - head);
         iovcnt = 2;
       }
       msghdr msg{};
@@ -205,37 +214,34 @@ struct TcpServer::Impl {
       if (n > 0) {
         worker.send_calls.fetch_add(1, std::memory_order_relaxed);
         std::size_t sent = static_cast<std::size_t>(n);
-        if (sent < iov[0].iov_len) {
+        if (sent < head) {
           conn.out_off += sent;
         } else {
           // outbuf finished (and possibly part of queued): promote queued
           // to outbuf and mark the bytes sendmsg already covered.
-          sent -= iov[0].iov_len;
+          sent -= head;
           conn.outbuf.clear();
           conn.out_off = 0;
           std::swap(conn.outbuf, conn.queued);
           conn.out_off = sent;
         }
         conn.last_activity = Clock::now();
+        // Hysteresis: a paused connection resumes reading as soon as at
+        // most half the backpressure budget remains queued — waiting for a
+        // completely empty outbuf stalls a pipelining client for a full
+        // round trip after every large burst.
+        if (paused && conn.unsent() > 0 && conn.unsent() <= resume_mark) {
+          conn.reading = true;
+          worker.bp_resumes.fetch_add(1, std::memory_order_relaxed);
+          update_interest(worker, fd, conn);
+        }
         continue;
       }
       if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-        bool rearm = false;
         if (!conn.writing) {
           conn.writing = true;
-          rearm = true;
+          update_interest(worker, fd, conn);
         }
-        // Hysteresis: a paused connection resumes reading as soon as at
-        // most half the backpressure budget remains queued — waiting for a
-        // completely empty outbuf (the old behaviour) stalls a pipelining
-        // client for a full round trip after every large burst.
-        if (!conn.reading && !conn.close_after_flush &&
-            conn.unsent() <= config.max_buffered_responses / 2) {
-          conn.reading = true;
-          worker.bp_resumes.fetch_add(1, std::memory_order_relaxed);
-          rearm = true;
-        }
-        if (rearm) update_interest(worker, fd, conn);
         return true;
       }
       if (n < 0 && errno == EINTR) continue;

@@ -38,6 +38,7 @@
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "corpus/live.h"
 #include "netio/client_pool.h"
@@ -56,7 +57,8 @@ struct ReshardHostOptions {
   /// Catch-up rounds before an outbound send gives up on a corpus that
   /// keeps growing faster than it streams.
   int max_rounds = 8;
-  int connect_timeout_ms = 2'000;
+  /// Bound on each send and each reply wait of an outbound stream (the
+  /// connect itself is bounded by BlockingClient::kConnectTimeoutMs).
   int io_timeout_ms = 30'000;
   /// Pool for index rebuilds (null = the process-global pool).
   util::ThreadPool* pool = nullptr;
@@ -72,6 +74,13 @@ bool parse_slice_sidecar(std::string_view payload,
                          corpus::KeyCountMap& key_counts,
                          corpus::RevocationStatusMap& statuses,
                          std::string& error);
+
+/// Builds a NotaryIndex over `snap`, injecting its sidecar maps (and,
+/// for an epoch-0 index only, the linker's `device_groups`, whose cert
+/// ids are that snapshot's).
+std::shared_ptr<const NotaryIndex> build_live_index(
+    const corpus::LiveSnapshot& snap, util::ThreadPool* pool = nullptr,
+    const std::vector<std::vector<scan::CertId>>* device_groups = nullptr);
 
 /// Builds a NotaryIndex over `snap` (injecting its sidecar maps) and
 /// publishes it to `service` with the snapshot's delta. The shared

@@ -1,8 +1,11 @@
 // Tests for sm::netio: the frame codec (round-trips, incremental decode,
 // truncation/bit-flip rejection) and the epoll TcpServer (echo traffic,
 // pipelining, malformed-frame handling, idle timeouts, graceful drain).
+#include <arpa/inet.h>
 #include <fcntl.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
 #include <sys/resource.h>
 #include <unistd.h>
 
@@ -17,7 +20,9 @@
 #include <vector>
 
 #include "loopback_client.h"
+#include "netio/blocking_client.h"
 #include "netio/client_pool.h"
+#include "netio/endpoint.h"
 #include "netio/frame.h"
 #include "netio/server.h"
 
@@ -173,6 +178,33 @@ TEST(FrameCodec, NoSingleBitFlipDecodesAsAFrame) {
       EXPECT_NE(decoder.next(out), DecodeStatus::kFrame)
           << "byte " << byte << " bit " << bit;
     }
+  }
+}
+
+// ---- endpoints -----------------------------------------------------------
+
+TEST(Endpoint, ParsesHostAndPort) {
+  Endpoint ep;
+  ASSERT_TRUE(parse_endpoint("127.0.0.1:7433", ep));
+  EXPECT_EQ(ep.host, "127.0.0.1");
+  EXPECT_EQ(ep.port, 7433);
+  ASSERT_TRUE(parse_endpoint("10.0.0.2:65535", ep));
+  EXPECT_EQ(ep.port, 65535);
+  // The last colon splits, so the host part is taken verbatim.
+  ASSERT_TRUE(parse_endpoint("a:b:1", ep));
+  EXPECT_EQ(ep.host, "a:b");
+  EXPECT_EQ(ep.port, 1);
+}
+
+TEST(Endpoint, RejectsMalformedEndpoints) {
+  for (const char* bad :
+       {"127.0.0.1:0", "127.0.0.1:65536", "127.0.0.1:99999999999", ":80",
+        "127.0.0.1:", "127.0.0.1:80x", "127.0.0.1:80 ", "127.0.0.1:+80",
+        "127.0.0.1:-1", "nonsense", ""}) {
+    Endpoint ep{"untouched", 9};
+    EXPECT_FALSE(parse_endpoint(bad, ep)) << bad;
+    EXPECT_EQ(ep.host, "untouched") << bad;
+    EXPECT_EQ(ep.port, 9) << bad;
   }
 }
 
@@ -944,6 +976,59 @@ TEST_F(EchoServerTest, DrainFlushesBackpressuredOutbufBeforeDeadline) {
   }
   EXPECT_EQ(server.counters().connections_closed,
             server.counters().connections_accepted);
+}
+
+TEST_F(EchoServerTest, BlockingClientCallsAndSendsPreEncodedFrames) {
+  TcpServer server(config_, echo);
+  ASSERT_TRUE(server.start());
+  BlockingClient client;
+  ASSERT_TRUE(client.connect({"127.0.0.1", server.port()}))
+      << client.error();
+  Frame response;
+  ASSERT_TRUE(client.call(FrameType::kPing, "one", response));
+  EXPECT_EQ(response, (Frame{FrameType::kPong, "one"}));
+  // Two pre-encoded frames in one send; the replies come back in order.
+  ASSERT_TRUE(client.send(encode_frame(FrameType::kPing, "two") +
+                          encode_frame(FrameType::kPing, "three")));
+  ASSERT_TRUE(client.read_frame(response));
+  EXPECT_EQ(response.payload, "two");
+  ASSERT_TRUE(client.read_frame(response));
+  EXPECT_EQ(response.payload, "three");
+  EXPECT_TRUE(client.error().empty());
+}
+
+// A peer that accepts (here: the kernel's backlog does) but never answers
+// must fail the call within the I/O timeout instead of blocking forever,
+// and a closed port must fail the connect.
+TEST(BlockingClient, GivesUpOnASilentListenerAndAClosedPort) {
+  const int listener = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  ASSERT_GE(listener, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  socklen_t len = sizeof addr;
+  ASSERT_EQ(::bind(listener, reinterpret_cast<sockaddr*>(&addr), len), 0);
+  ASSERT_EQ(::listen(listener, 4), 0);
+  ASSERT_EQ(
+      ::getsockname(listener, reinterpret_cast<sockaddr*>(&addr), &len), 0);
+  const Endpoint silent{"127.0.0.1", ntohs(addr.sin_port)};
+
+  BlockingClient client;
+  ASSERT_TRUE(client.connect(silent, /*io_timeout_ms=*/200));
+  Frame response;
+  const auto begin = std::chrono::steady_clock::now();
+  EXPECT_FALSE(client.call(FrameType::kPing, "anyone?", response));
+  const auto waited = std::chrono::steady_clock::now() - begin;
+  EXPECT_GE(waited, std::chrono::milliseconds(150));
+  EXPECT_LT(waited, std::chrono::seconds(5));
+  EXPECT_NE(client.error().find("timeout"), std::string::npos)
+      << client.error();
+  EXPECT_FALSE(client.connected());
+
+  ::close(listener);
+  BlockingClient refused;
+  EXPECT_FALSE(refused.connect(silent));
+  EXPECT_FALSE(refused.error().empty());
 }
 
 }  // namespace

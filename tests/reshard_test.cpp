@@ -15,6 +15,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "corpus/corpus_index.h"
@@ -203,14 +204,6 @@ TEST(SliceSidecar, CodecRoundTripsAndRejectsGarbage) {
 
 // ---- the shared world fixture -------------------------------------------
 
-std::shared_ptr<const NotaryIndex> build_live_index(
-    const corpus::LiveSnapshot& snap) {
-  NotaryIndexOptions options;
-  if (snap.key_counts) options.key_counts = snap.key_counts.get();
-  if (snap.statuses) options.revocation_statuses = snap.statuses.get();
-  return std::make_shared<const NotaryIndex>(*snap.spine, options);
-}
-
 /// One in-process live backend: the `sm_notaryd --shard-prefix` /
 /// `--empty` shape — LiveCorpus + NotaryService + ReshardHost behind a
 /// real TcpServer.
@@ -339,35 +332,48 @@ NotaryService* ReshardWorldTest::oracle_ = nullptr;
 
 // A fresh successor that merges a full slice answers byte-identically to
 // the unsharded oracle for every fingerprint it now owns — and still
-// kNotFound for everything it does not.
+// kNotFound for everything it does not. [0, 255] is the whole corpus as
+// a slice: the shape every sm_notaryd serves by default, seeded directly
+// (with the full-corpus key counts and statuses as sidecars) as well as
+// merged into a successor.
 TEST_F(ReshardWorldTest, MergedSliceAnswersLikeTheOracle) {
-  constexpr std::uint8_t kLo = 128, kHi = 255;
-  corpus::LiveCorpus successor(scan::ScanArchive{}, &world_->routing);
-  std::ostringstream smar;
-  ASSERT_TRUE(scan::save_archive(
-      corpus::extract_prefix_slice(world_->archive, kLo, kHi), smar));
-  std::istringstream in(smar.str());
-  const corpus::AppendResult result = successor.merge_slice(
-      in, key_counts_, &world_->revocation.statuses);
-  ASSERT_TRUE(result.ok) << result.error;
-  EXPECT_GT(result.new_certs, 0u);
-  EXPECT_GT(result.scans_appended, 0u);
+  const std::pair<std::uint8_t, std::uint8_t> ranges[] = {{128, 255},
+                                                          {0, 255}};
+  for (const auto& [lo, hi] : ranges) {
+    SCOPED_TRACE(::testing::Message() << "slice " << int{lo} << "-" << int{hi});
+    const scan::ScanArchive slice =
+        corpus::extract_prefix_slice(world_->archive, lo, hi);
+    corpus::LiveCorpus successor(scan::ScanArchive{}, &world_->routing);
+    std::ostringstream smar;
+    ASSERT_TRUE(scan::save_archive(slice, smar));
+    std::istringstream in(smar.str());
+    const corpus::AppendResult result = successor.merge_slice(
+        in, key_counts_, &world_->revocation.statuses);
+    ASSERT_TRUE(result.ok) << result.error;
+    EXPECT_GT(result.new_certs, 0u);
+    EXPECT_GT(result.scans_appended, 0u);
 
-  const auto snap = successor.snapshot();
-  EXPECT_EQ(snap->epoch, 1u);
-  EXPECT_EQ(snap->archive->scans().size(), world_->archive.scans().size());
-  NotaryService service(build_live_index(*snap));
-  for (const scan::CertRecord& cert : world_->archive.certs()) {
-    const std::string payload = fp_payload(cert.fingerprint);
-    for (const netio::FrameType type :
-         {netio::FrameType::kQuery, netio::FrameType::kRevocationQuery}) {
-      const netio::Frame got = service.handle(type, payload);
-      if (cert.fingerprint[0] >= kLo) {
-        const netio::Frame want = oracle_->handle(type, payload);
-        ASSERT_EQ(got.type, want.type);
-        ASSERT_EQ(got.payload, want.payload);
-      } else {
-        ASSERT_EQ(got.type, netio::FrameType::kNotFound);
+    const auto snap = successor.snapshot();
+    EXPECT_EQ(snap->epoch, 1u);
+    EXPECT_EQ(snap->archive->scans().size(), world_->archive.scans().size());
+    corpus::LiveCorpus seeded(slice, &world_->routing, nullptr,
+                              world_->revocation.statuses, *key_counts_);
+    NotaryService merged_service(build_live_index(*snap));
+    NotaryService seeded_service(build_live_index(*seeded.snapshot()));
+    for (const scan::CertRecord& cert : world_->archive.certs()) {
+      const std::string payload = fp_payload(cert.fingerprint);
+      for (const netio::FrameType type :
+           {netio::FrameType::kQuery, netio::FrameType::kRevocationQuery}) {
+        for (NotaryService* service : {&merged_service, &seeded_service}) {
+          const netio::Frame got = service->handle(type, payload);
+          if (cert.fingerprint[0] >= lo && cert.fingerprint[0] <= hi) {
+            const netio::Frame want = oracle_->handle(type, payload);
+            ASSERT_EQ(got.type, want.type);
+            ASSERT_EQ(got.payload, want.payload);
+          } else {
+            ASSERT_EQ(got.type, netio::FrameType::kNotFound);
+          }
+        }
       }
     }
   }

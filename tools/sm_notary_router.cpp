@@ -13,27 +13,22 @@
 // The router serves the same framed protocol as sm_notaryd (kQuery,
 // kBatchQuery, kStats → ROUTER-STATS, kPing, kSnapshot → per-shard
 // staleness) and drains cleanly on SIGTERM/SIGINT, printing ROUTER-STATS.
-#include <csignal>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <optional>
 #include <string>
-#include <thread>
+#include <string_view>
 #include <vector>
 
 #include "netio/client_pool.h"
-#include "netio/server.h"
+#include "netio/endpoint.h"
 #include "notary/router.h"
+#include "serve.h"
 
 namespace {
 
 using namespace sm;
-
-volatile std::sig_atomic_t g_stop = 0;
-
-void on_signal(int) { g_stop = 1; }
 
 struct Options {
   std::vector<notary::RouterShard> shards;
@@ -80,21 +75,14 @@ std::optional<notary::RouterShard> parse_shard(const std::string& text) {
   while (start <= text.size()) {
     std::size_t comma = text.find(',', start);
     if (comma == std::string::npos) comma = text.size();
-    const std::string part = text.substr(start, comma - start);
-    const std::size_t colon = part.rfind(':');
-    if (colon == std::string::npos || colon == 0 ||
-        colon + 1 >= part.size()) {
+    netio::Endpoint replica;
+    if (!netio::parse_endpoint(
+            std::string_view(text).substr(start, comma - start), replica)) {
       return std::nullopt;
     }
-    char* end = nullptr;
-    const unsigned long port = std::strtoul(part.c_str() + colon + 1, &end,
-                                            10);
-    if (*end != '\0' || port == 0 || port > 65535) return std::nullopt;
-    shard.replicas.push_back(
-        {part.substr(0, colon), static_cast<std::uint16_t>(port)});
+    shard.replicas.push_back(std::move(replica));
     start = comma + 1;
   }
-  if (shard.replicas.empty()) return std::nullopt;
   return shard;
 }
 
@@ -179,35 +167,11 @@ int main(int argc, char** argv) {
   server_config.port = opts->port;
   server_config.workers = opts->threads;
   server_config.idle_timeout_ms = opts->idle_ms;
-  netio::TcpServer server(server_config,
-                          [&router](netio::FrameType type,
-                                    std::string_view payload,
-                                    std::string& out) {
-                            router.handle_into(type, payload, out);
-                          });
-  std::string error;
-  if (!server.start(&error)) {
-    std::fprintf(stderr, "server start failed: %s\n", error.c_str());
-    return 1;
-  }
-  std::signal(SIGTERM, on_signal);
-  std::signal(SIGINT, on_signal);
-  std::fprintf(stderr, "sm_notary_router listening on %s:%u (%zu shards)\n",
-               opts->bind_address.c_str(), server.port(),
-               router.shard_count());
-  while (g_stop == 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  }
-  std::fprintf(stderr, "signal received, draining...\n");
-  server.shutdown();
-  const auto counters = server.counters();
-  std::fprintf(stderr,
-               "drained: %llu connections, %llu frames (%llu malformed, "
-               "%llu idle-closed)\n",
-               static_cast<unsigned long long>(counters.connections_accepted),
-               static_cast<unsigned long long>(counters.frames_handled),
-               static_cast<unsigned long long>(counters.malformed_frames),
-               static_cast<unsigned long long>(counters.idle_closed));
-  std::fputs(router.render_stats().c_str(), stderr);
-  return 0;
+  const int rc = tools::serve_until_signal(
+      "sm_notary_router", server_config,
+      [&router](netio::FrameType type, std::string_view payload,
+                std::string& out) { router.handle_into(type, payload, out); },
+      " (" + std::to_string(router.shard_count()) + " shards)");
+  if (rc == 0) std::fputs(router.render_stats().c_str(), stderr);
+  return rc;
 }

@@ -31,24 +31,17 @@
 //
 // Exit codes: 0 success, 1 protocol/transport failure, 2 bad flags
 // (usage to stderr).
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
-#include "netio/client_pool.h"
+#include "netio/blocking_client.h"
 #include "netio/frame.h"
 #include "notary/prefix_map.h"
 
@@ -57,8 +50,7 @@ namespace {
 using namespace sm;
 
 struct Options {
-  std::string router_host;
-  std::uint16_t router_port = 0;
+  netio::Endpoint router;
   bool show = false;
   bool has_split = false;
   bool has_merge = false;
@@ -88,20 +80,6 @@ void usage() {
       "(default 200)\n");
 }
 
-bool parse_endpoint(const std::string& text, netio::Endpoint& out) {
-  const std::size_t colon = text.rfind(':');
-  if (colon == std::string::npos || colon == 0 || colon + 1 >= text.size()) {
-    return false;
-  }
-  char* end = nullptr;
-  const unsigned long port = std::strtoul(text.c_str() + colon + 1, &end,
-                                          10);
-  if (*end != '\0' || port == 0 || port > 65535) return false;
-  out.host = text.substr(0, colon);
-  out.port = static_cast<std::uint16_t>(port);
-  return true;
-}
-
 std::optional<Options> parse(int argc, char** argv) {
   Options opts;
   for (int i = 1; i < argc; ++i) {
@@ -114,13 +92,10 @@ std::optional<Options> parse(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--router") {
-      netio::Endpoint ep;
-      if (!parse_endpoint(next(), ep)) {
+      if (!netio::parse_endpoint(next(), opts.router)) {
         std::fprintf(stderr, "bad --router endpoint: %s\n", argv[i]);
         return std::nullopt;
       }
-      opts.router_host = ep.host;
-      opts.router_port = ep.port;
     } else if (arg == "--show") {
       opts.show = true;
     } else if (arg == "--split") {
@@ -148,7 +123,8 @@ std::optional<Options> parse(int argc, char** argv) {
         std::size_t comma = list.find(',', start);
         if (comma == std::string::npos) comma = list.size();
         netio::Endpoint ep;
-        if (!parse_endpoint(list.substr(start, comma - start), ep)) {
+        if (!netio::parse_endpoint(
+                std::string_view(list).substr(start, comma - start), ep)) {
           std::fprintf(stderr, "bad --to endpoint in: %s\n", list.c_str());
           return std::nullopt;
         }
@@ -170,7 +146,7 @@ std::optional<Options> parse(int argc, char** argv) {
       return std::nullopt;
     }
   }
-  if (opts.router_port == 0) {
+  if (opts.router.port == 0) {
     std::fprintf(stderr, "--router is required\n");
     return std::nullopt;
   }
@@ -193,79 +169,19 @@ std::optional<Options> parse(int argc, char** argv) {
   return opts;
 }
 
-// ---- one blocking frame connection per peer ------------------------------
-
-class Conn {
- public:
-  ~Conn() {
-    if (fd_ >= 0) ::close(fd_);
-  }
-
-  bool connect(const std::string& host, std::uint16_t port) {
-    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd_ < 0) return false;
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(port);
-    if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1 ||
-        ::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) !=
-            0) {
-      ::close(fd_);
-      fd_ = -1;
-      return false;
-    }
-    int one = 1;
-    ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-    return true;
-  }
-
-  bool call(netio::FrameType type, std::string_view payload,
-            netio::Frame& response) {
-    std::string frame = netio::encode_frame(type, payload);
-    std::string_view left = frame;
-    while (!left.empty()) {
-      const ssize_t n = ::send(fd_, left.data(), left.size(), MSG_NOSIGNAL);
-      if (n <= 0) {
-        if (n < 0 && errno == EINTR) continue;
-        return false;
-      }
-      left.remove_prefix(static_cast<std::size_t>(n));
-    }
-    for (;;) {
-      switch (decoder_.next(response)) {
-        case netio::DecodeStatus::kFrame:
-          return true;
-        case netio::DecodeStatus::kMalformed:
-          return false;
-        case netio::DecodeStatus::kNeedMore:
-          break;
-      }
-      char buf[64 * 1024];
-      const ssize_t n = ::recv(fd_, buf, sizeof buf, 0);
-      if (n < 0 && errno == EINTR) continue;
-      if (n <= 0) return false;
-      decoder_.feed(buf, static_cast<std::size_t>(n));
-    }
-  }
-
- private:
-  int fd_ = -1;
-  netio::FrameDecoder decoder_{32u << 20};
-};
+// One blocking connection per control call. A kSliceSend reply waits for
+// the source to stream (and the target to merge) the whole slice, so the
+// I/O bound here is far above the client's interactive default.
+constexpr int kControlTimeoutMs = 120'000;
 
 bool call_peer(const netio::Endpoint& ep, netio::FrameType type,
                std::string_view payload, netio::FrameType want,
                std::string& response_payload) {
-  Conn conn;
-  if (!conn.connect(ep.host, ep.port)) {
-    std::fprintf(stderr, "sm_reshard: cannot connect to %s:%u\n",
-                 ep.host.c_str(), ep.port);
-    return false;
-  }
+  netio::BlockingClient client;
   netio::Frame response;
-  if (!conn.call(type, payload, response)) {
-    std::fprintf(stderr, "sm_reshard: no response from %s:%u\n",
-                 ep.host.c_str(), ep.port);
+  if (!client.connect(ep, kControlTimeoutMs) ||
+      !client.call(type, payload, response)) {
+    std::fprintf(stderr, "sm_reshard: %s\n", client.error().c_str());
     return false;
   }
   if (response.type != want) {
@@ -291,8 +207,7 @@ std::string encode_slice_send(std::uint8_t lo, std::uint8_t hi,
 
 bool fetch_map(const Options& opts, notary::PrefixMap& map) {
   std::string payload;
-  if (!call_peer({opts.router_host, opts.router_port},
-                 netio::FrameType::kMapUpdate, {},
+  if (!call_peer(opts.router, netio::FrameType::kMapUpdate, {},
                  netio::FrameType::kMapInfo, payload)) {
     return false;
   }
@@ -330,8 +245,7 @@ int run_handoff(const Options& opts, const notary::PrefixMap& next_map,
   }
 
   const auto swap0 = Clock::now();
-  if (!call_peer({opts.router_host, opts.router_port},
-                 netio::FrameType::kMapUpdate,
+  if (!call_peer(opts.router, netio::FrameType::kMapUpdate,
                  notary::serialize_prefix_map(next_map),
                  netio::FrameType::kMapInfo, response)) {
     return 1;
