@@ -12,7 +12,9 @@
 # split/merge handoffs under load),
 # then an AddressSanitizer build running the archive I/O and notary-frame
 # corruption harnesses (exhaustive truncation + bit-flip sweeps over
-# hostile input) plus the world-determinism test.
+# hostile input), the world-determinism test, and the hashing and
+# root-store tests (the SHA-NI kernel's unaligned loads, the one-shot
+# padding tail, exact-DER root membership).
 #
 # The simworld_parallel_test golden-hash determinism check runs under BOTH
 # sanitizer configs: any thread-count divergence in the simulated archive
@@ -84,9 +86,9 @@ fi
 
 asan_tests=(archive_corruption_test archive_io_test simworld_parallel_test
             corpus_test netio_test notary_loopback_test live_ingest_test
-            router_test revocation_test reshard_test)
+            router_test revocation_test reshard_test util_test pki_test)
 if [[ "$run_asan" == 1 ]]; then
-  echo "== tier 1: ASan build (archive I/O + notary-frame corruption harnesses + world determinism) =="
+  echo "== tier 1: ASan build (archive I/O + notary-frame corruption harnesses + world determinism + hashing/root store) =="
   cmake -B build-asan -S . -DSM_SANITIZE=address >/dev/null
   cmake --build build-asan -j --target "${asan_tests[@]}" >/dev/null
   for t in "${asan_tests[@]}"; do

@@ -9,11 +9,12 @@ SubjectKey subject_lookup_key(const x509::Name& subject) {
 }
 
 void RootStore::add(x509::Certificate root) {
-  const std::string fp = util::hex_encode(root.fingerprint_sha256());
-  if (by_fingerprint_.contains(fp)) return;
-  const std::size_t index = roots_.size();
-  by_fingerprint_[fp] = index;
-  by_subject_[subject_lookup_key(root.subject)].push_back(index);
+  std::vector<std::size_t>& same_subject =
+      by_subject_[subject_lookup_key(root.subject)];
+  for (const std::size_t index : same_subject) {
+    if (roots_[index].der == root.der) return;
+  }
+  same_subject.push_back(roots_.size());
   roots_.push_back(std::move(root));
 }
 
@@ -33,16 +34,20 @@ std::vector<const x509::Certificate*> RootStore::find_by_subject(
   return out;
 }
 
-bool RootStore::contains(const util::Bytes& fingerprint_sha256) const {
-  return by_fingerprint_.contains(util::hex_encode(fingerprint_sha256));
+bool RootStore::contains(const x509::Certificate& cert) const {
+  for (const std::size_t index : matches(subject_lookup_key(cert.subject))) {
+    if (roots_[index].der == cert.der) return true;
+  }
+  return false;
 }
 
 void IntermediatePool::add(x509::Certificate intermediate) {
-  const std::string fp = util::hex_encode(intermediate.fingerprint_sha256());
-  if (by_fingerprint_.contains(fp)) return;
-  const std::size_t index = pool_.size();
-  by_fingerprint_[fp] = index;
-  by_subject_[subject_lookup_key(intermediate.subject)].push_back(index);
+  std::vector<std::size_t>& same_subject =
+      by_subject_[subject_lookup_key(intermediate.subject)];
+  for (const std::size_t index : same_subject) {
+    if (pool_[index].der == intermediate.der) return;
+  }
+  same_subject.push_back(pool_.size());
   pool_.push_back(std::move(intermediate));
 }
 

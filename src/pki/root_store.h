@@ -20,11 +20,11 @@ using SubjectKey = std::string;
 /// Encodes a subject name into the shared store-lookup key.
 SubjectKey subject_lookup_key(const x509::Name& subject);
 
-/// A set of trusted (root) certificates, indexed by subject name and by
-/// certificate fingerprint.
+/// A set of trusted (root) certificates, indexed by subject name.
 class RootStore {
  public:
-  /// Adds a root. Duplicate fingerprints are ignored.
+  /// Adds a root. Duplicates (the same DER, hence the same fingerprint)
+  /// are ignored.
   void add(x509::Certificate root);
 
   /// All roots whose subject encodes to the same name (several roots may
@@ -41,8 +41,10 @@ class RootStore {
     return roots_[index];
   }
 
-  /// True when a certificate with this exact fingerprint is trusted.
-  bool contains(const util::Bytes& fingerprint_sha256) const;
+  /// True when this exact certificate is trusted: its DER equals, byte for
+  /// byte, that of a root sharing its subject. Equal DER is equal
+  /// fingerprint, so no digest is computed.
+  bool contains(const x509::Certificate& cert) const;
 
   std::size_t size() const { return roots_.size(); }
 
@@ -52,7 +54,6 @@ class RootStore {
  private:
   std::vector<x509::Certificate> roots_;
   std::map<std::string, std::vector<std::size_t>> by_subject_;
-  std::map<std::string, std::size_t> by_fingerprint_;
 };
 
 /// A pool of intermediate CA certificates collected across scans. The paper
@@ -61,7 +62,7 @@ class RootStore {
 /// certificates). Same lookup interface as RootStore.
 class IntermediatePool {
  public:
-  /// Adds an intermediate. Duplicate fingerprints are ignored.
+  /// Adds an intermediate. Duplicates (the same DER) are ignored.
   void add(x509::Certificate intermediate);
 
   /// Candidates whose subject matches.
@@ -81,7 +82,6 @@ class IntermediatePool {
  private:
   std::vector<x509::Certificate> pool_;
   std::map<std::string, std::vector<std::size_t>> by_subject_;
-  std::map<std::string, std::size_t> by_fingerprint_;
 };
 
 }  // namespace sm::pki

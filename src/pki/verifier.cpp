@@ -211,7 +211,7 @@ ValidationResult Verifier::verify_impl(
   };
   const auto root_member = [&](const x509::Certificate& cert, bool resident) {
     const auto compute = [&] {
-      return roots_.contains(cert.fingerprint_sha256());
+      return roots_.contains(cert);
     };
     if (memo != nullptr && resident) {
       return memo->root_member(&cert, compute);
@@ -220,7 +220,7 @@ ValidationResult Verifier::verify_impl(
   };
 
   // Trusted root presented directly as the endpoint certificate.
-  if (roots_.contains(leaf.fingerprint_sha256())) {
+  if (roots_.contains(leaf)) {
     out.valid = true;
     out.chain_length = 1;
     return out;

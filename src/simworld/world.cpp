@@ -245,6 +245,9 @@ class World::Impl {
   struct CaEntry {
     crypto::SigningKey key;
     x509::Certificate cert;
+    // The AuthorityKeyIdentifier of every certificate this CA issues: the
+    // first 20 bytes of its SPKI fingerprint, computed once.
+    util::Bytes aki;
   };
   std::vector<CaEntry> root_cas_;  // retained: roots sign CRLs too
   std::map<std::string, CaEntry> trusted_intermediates_;
@@ -310,6 +313,8 @@ void World::Impl::build_pki() {
                      .set_basic_constraints(true)
                      .set_key_usage(ca_usage)
                      .sign(signer);
+    entry.aki = entry.key.pub.fingerprint();
+    entry.aki.resize(20);
     return entry;
   };
 
@@ -536,7 +541,7 @@ scan::CertRecord World::Impl::build_cert_record(std::uint32_t device_id,
 
   x509::Name issuer;
   const crypto::SigningKey* signer = &key;
-  const x509::Certificate* issuing_ca = nullptr;
+  const CaEntry* issuing_ca = nullptr;
   switch (vendor.issuer_policy) {
     case IssuerPolicy::kSameAsSubject:
       issuer = subject;
@@ -559,14 +564,14 @@ scan::CertRecord World::Impl::build_cert_record(std::uint32_t device_id,
       const CaEntry& ca = vendor_cas_.at(ca_name);
       issuer = ca.cert.subject;
       signer = &ca.key;
-      issuing_ca = &ca.cert;
+      issuing_ca = &ca;
       break;
     }
     case IssuerPolicy::kTrustedCa: {
       const CaEntry& ca = trusted_intermediates_.at(vendor.fixed_issuer);
       issuer = ca.cert.subject;
       signer = &ca.key;
-      issuing_ca = &ca.cert;
+      issuing_ca = &ca;
       break;
     }
   }
@@ -679,9 +684,7 @@ scan::CertRecord World::Impl::build_cert_record(std::uint32_t device_id,
     // CA-issued certificates carry an AuthorityKeyIdentifier, giving the
     // §5.3 issuer-key-diversity analysis something to read, and the usual
     // TLS-server KeyUsage.
-    util::Bytes aki = issuing_ca->spki.fingerprint();
-    aki.resize(20);
-    builder.set_authority_key_id(aki);
+    builder.set_authority_key_id(issuing_ca->aki);
     if (vendor.issuer_policy == IssuerPolicy::kTrustedCa) {
       x509::KeyUsage usage;
       usage.set(x509::KeyUsageBit::kDigitalSignature)
@@ -702,7 +705,7 @@ scan::CertRecord World::Impl::build_cert_record(std::uint32_t device_id,
     // what the transvalid machinery closes.
     const double present_prob =
         vendor.issuer_policy == IssuerPolicy::kTrustedCa ? 0.9 : 0.4;
-    if (rng.chance(present_prob)) presented.push_back(*issuing_ca);
+    if (rng.chance(present_prob)) presented.push_back(issuing_ca->cert);
   }
   const pki::ValidationResult validation = verifier_->verify(cert, presented);
 

@@ -3,6 +3,12 @@
 // Used for certificate fingerprints, public-key fingerprints, and as the
 // digest inside both the real RSA signature scheme and the simulated
 // signature scheme (see crypto/).
+//
+// Blocks are compressed by one of two kernels (util/sha256_kernels.h),
+// chosen once per process from CPUID alone: the x86 SHA-extensions kernel
+// when the CPU has SHA, SSSE3 and SSE4.1, otherwise the portable scalar
+// kernel, which is also the only one on non-x86 builds. Both produce the
+// same digests; nothing else selects between them.
 #pragma once
 
 #include <array>
@@ -35,8 +41,6 @@ class Sha256 {
   static Bytes digest(BytesView data);
 
  private:
-  void process_block(const std::uint8_t* block);
-
   std::array<std::uint32_t, 8> state_;
   std::array<std::uint8_t, 64> buffer_{};
   std::size_t buffer_len_ = 0;

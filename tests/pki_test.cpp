@@ -69,8 +69,8 @@ TestPki make_test_pki() {
 TEST(RootStore, AddAndLookup) {
   TestPki t = make_test_pki();
   EXPECT_EQ(t.roots.size(), 1u);
-  EXPECT_TRUE(t.roots.contains(t.root.fingerprint_sha256()));
-  EXPECT_FALSE(t.roots.contains(t.leaf.fingerprint_sha256()));
+  EXPECT_TRUE(t.roots.contains(t.root));
+  EXPECT_FALSE(t.roots.contains(t.leaf));
   EXPECT_EQ(t.roots.find_by_subject(t.root.subject).size(), 1u);
   EXPECT_TRUE(t.roots.find_by_subject(t.leaf.subject).empty());
 }
@@ -169,6 +169,34 @@ TEST(Verifier, TrustedRootItselfIsValid) {
   const ValidationResult r = v.verify(t.root);
   EXPECT_TRUE(r.valid);
   EXPECT_EQ(r.chain_length, 1);
+}
+
+TEST(Verifier, RootSubjectWithDifferentBytesIsNotARoot) {
+  // Root membership is exact-DER identity, not a subject match: a
+  // certificate that copies the root's subject is never the root itself.
+  TestPki t = make_test_pki();
+  const Verifier v(t.roots, t.pool);
+  const SigningKey other_key = make_key(97);
+  const Certificate impostor = make_cert(t.root.subject, t.root.subject,
+                                         other_key.pub, other_key, 7);
+  EXPECT_FALSE(t.roots.contains(impostor));
+  const ValidationResult forged = v.verify(impostor);
+  EXPECT_FALSE(forged.valid);
+  EXPECT_EQ(forged.reason, InvalidReason::kSelfSigned);
+
+  // Same subject and issuer, signed by the root's key: it chains to the
+  // root (length 2) rather than being taken for it.
+  const Certificate reissued = make_cert(t.root.subject, t.root.subject,
+                                         other_key.pub, t.root_key, 8);
+  EXPECT_FALSE(t.roots.contains(reissued));
+  const ValidationResult chained = v.verify(reissued);
+  EXPECT_TRUE(chained.valid);
+  EXPECT_EQ(chained.chain_length, 2);
+
+  EXPECT_TRUE(t.roots.contains(t.root));
+  const ValidationResult root = v.verify(t.root);
+  EXPECT_TRUE(root.valid);
+  EXPECT_EQ(root.chain_length, 1);
 }
 
 // --- self-signed detection -------------------------------------------------------

@@ -2,6 +2,7 @@
 // civil-date conversions, PRNG behaviour, and statistics helpers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <set>
 #include <string_view>
@@ -14,6 +15,7 @@
 #include "util/prng.h"
 #include "util/sha1.h"
 #include "util/sha256.h"
+#include "util/sha256_kernels.h"
 #include "util/stats.h"
 
 namespace sm::util {
@@ -71,6 +73,99 @@ TEST(Sha256, IncrementalMatchesOneShot) {
     h.update(BytesView(&data[i], 1));
   }
   EXPECT_EQ(h.finish(), Sha256::digest(data));
+}
+
+// --- SHA-256 block kernels ---------------------------------------------
+
+constexpr std::array<std::uint32_t, 8> kSha256Iv = {
+    0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+    0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+
+// SHA-256 with padding built independently of Sha256::finish() and every
+// block compressed by the scalar kernel.
+Bytes scalar_reference_sha256(BytesView message) {
+  Bytes padded(message.begin(), message.end());
+  padded.push_back(0x80);
+  while (padded.size() % 64 != 56) padded.push_back(0);
+  const std::uint64_t bit_len = std::uint64_t{message.size()} * 8;
+  for (int shift = 56; shift >= 0; shift -= 8) {
+    padded.push_back(static_cast<std::uint8_t>(bit_len >> shift));
+  }
+  std::array<std::uint32_t, 8> state = kSha256Iv;
+  sha256_kernels::scalar(state.data(), padded.data(), padded.size() / 64);
+  Bytes out;
+  for (const std::uint32_t word : state) {
+    for (int shift = 24; shift >= 0; shift -= 8) {
+      out.push_back(static_cast<std::uint8_t>(word >> shift));
+    }
+  }
+  return out;
+}
+
+TEST(Sha256Kernels, ScalarReferenceMatchesFipsVector) {
+  EXPECT_EQ(hex_encode(scalar_reference_sha256(to_bytes("abc"))),
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+}
+
+TEST(Sha256Kernels, ActiveKernelFollowsCpuid) {
+#if defined(__x86_64__)
+  EXPECT_EQ(sha256_kernels::active(), sha256_kernels::shani_supported()
+                                          ? &sha256_kernels::shani
+                                          : &sha256_kernels::scalar);
+#else
+  EXPECT_EQ(sha256_kernels::active(), &sha256_kernels::scalar);
+#endif
+}
+
+TEST(Sha256Kernels, ShaNiMatchesScalarOnRandomStatesAndBlocks) {
+#if defined(__x86_64__)
+  if (!sha256_kernels::shani_supported()) {
+    GTEST_SKIP() << "CPUID reports no SHA extensions (or no SSSE3/SSE4.1); "
+                    "only the scalar kernel can run here";
+  }
+  Rng rng(0x5a256);
+  for (int trial = 0; trial < 2000; ++trial) {
+    // 1..4 consecutive blocks, at an odd offset so the loads are unaligned.
+    const std::size_t blocks = 1 + rng.below(4);
+    Bytes data(1 + 64 * blocks);
+    for (auto& b : data) b = static_cast<std::uint8_t>(rng.below(256));
+    std::array<std::uint32_t, 8> scalar_state;
+    for (auto& word : scalar_state) word = static_cast<std::uint32_t>(rng());
+    std::array<std::uint32_t, 8> shani_state = scalar_state;
+    sha256_kernels::scalar(scalar_state.data(), data.data() + 1, blocks);
+    sha256_kernels::shani(shani_state.data(), data.data() + 1, blocks);
+    ASSERT_EQ(shani_state, scalar_state) << "trial " << trial;
+  }
+#else
+  GTEST_SKIP() << "the SHA-extensions kernel exists only on x86-64 builds";
+#endif
+}
+
+TEST(Sha256Kernels, EveryLengthAndSplitMatchesScalarReference) {
+  // Lengths 0..1100 cover each padding edge (55, 56, 63, 64 bytes mod 64)
+  // many times over; each message is also fed in three pieces cut at
+  // several points, so partial-buffer updates meet every edge too.
+  Rng rng(0x256);
+  Bytes message(1100);
+  for (auto& b : message) b = static_cast<std::uint8_t>(rng.below(256));
+  for (std::size_t n = 0; n <= message.size(); ++n) {
+    const BytesView whole(message.data(), n);
+    const Bytes expected = scalar_reference_sha256(whole);
+    ASSERT_EQ(Sha256::digest(whole), expected) << "length " << n;
+    const std::size_t cuts[] = {0, 1, 55, 56, 63, 64, n / 3, n / 2, n - 1};
+    for (const std::size_t first_cut : cuts) {
+      for (const std::size_t second_cut : cuts) {
+        const std::size_t first = std::min(first_cut, n);
+        const std::size_t second = std::clamp(second_cut, first, n);
+        Sha256 h;
+        h.update(whole.subspan(0, first))
+            .update(whole.subspan(first, second - first))
+            .update(whole.subspan(second));
+        ASSERT_EQ(h.finish(), expected)
+            << "length " << n << " cut at " << first << "/" << second;
+      }
+    }
+  }
 }
 
 // --- SHA-1 ---------------------------------------------------------------
