@@ -1,6 +1,7 @@
 // Corpus-spine benchmark: the cost of building corpus::CorpusIndex (the
 // columnar cert→observation CSR + ASN column + stats rows every layer
-// shares) over the paper-scale corpus, its thread scaling, and the
+// shares) over the paper-scale corpus, its thread scaling, the cost of
+// extending it by one appended scan, and the
 // before/after of the single-spine refactor — the pre-refactor pipeline
 // derived the same columns independently in analysis, linking, tracking,
 // and the notary (four builds per survey); the shared spine is built once
@@ -18,6 +19,7 @@
 #include "analysis/dataset.h"
 #include "bench/common.h"
 #include "corpus/corpus_index.h"
+#include "corpus/live.h"
 #include "linking/linker.h"
 #include "notary/index.h"
 #include "tracking/tracker.h"
@@ -139,6 +141,30 @@ void BM_SpineBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_SpineBuild)->Arg(1)->Arg(2)->Arg(8)
     ->Unit(benchmark::kMillisecond);
+
+// Extending a spine by the last scan, the way a live corpus publishes an
+// appended segment: the prefix spine (every scan but the last) is built
+// once off the clock; each iteration copies its rows and derives only
+// what the new scan changes. Real time, since the build is parallel.
+void BM_SpineExtend(benchmark::State& state) {
+  const std::size_t scans = world().archive.scans().size();
+  static const scan::ScanArchive prefix_archive =
+      corpus::extract_segment(world().archive, 0, scans - 1);
+  static const scan::ScanArchive archive =
+      corpus::extract_segment(world().archive, 0, scans);
+  static const corpus::CorpusIndex prefix(prefix_archive, spine_options());
+  util::ThreadPool pool(static_cast<std::size_t>(state.range(0)));
+  const auto options = spine_options(&pool);
+  for (auto _ : state) {
+    corpus::CorpusIndex spine(archive, prefix, options);
+    benchmark::DoNotOptimize(spine.observation_count());
+  }
+  state.SetItemsProcessed(
+      state.iterations() *
+      static_cast<std::int64_t>(archive.scans().back().observations.size()));
+}
+BENCHMARK(BM_SpineExtend)->Arg(1)->Arg(2)->Arg(8)
+    ->UseRealTime()->Unit(benchmark::kMillisecond);
 
 // No-routing build: the CSR + stats cost alone, isolating the ASN column.
 void BM_SpineBuildNoRouting(benchmark::State& state) {

@@ -1,9 +1,10 @@
 // Live-ingestion benchmark: the epoch-publication pipeline behind
 // sm_notaryd --ingest. Measures, at paper scale, what one appended scan
-// segment costs end to end (archive copy + re-intern + spine rebuild +
-// snapshot publish), what the query path pays per request to read the
-// current epoch (one atomic shared_ptr acquire), and what a
-// NotaryService::publish swap costs with precise cache invalidation.
+// segment costs end to end (chunk-sharing archive copy + re-intern +
+// spine extension + snapshot publish), what the query path pays per
+// request to read the current epoch (one atomic shared_ptr acquire), and
+// what a NotaryService::publish swap costs with precise cache
+// invalidation.
 // Prints the per-segment ingest trace, then runs google-benchmark
 // timings. The daemon-side numbers (query p99 while segments land) come
 // from perfbench's ingest phase.
@@ -121,8 +122,9 @@ void report() {
               static_cast<std::size_t>(service.index().size()));
 }
 
-// One full append at paper scale: copy-on-append of the whole archive,
-// segment re-intern, spine rebuild, epoch publish. Fresh corpus per
+// One full append at paper scale: segment parse, re-intern into an
+// archive copy that shares every full certificate chunk, spine extension
+// from the previous epoch's, epoch publish. Fresh corpus per
 // iteration (appends are not repeatable), so the iteration count is
 // pinned and the rebuild happens off the clock.
 void BM_LiveAppendSegment(benchmark::State& state) {

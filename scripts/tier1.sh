@@ -12,9 +12,10 @@
 # split/merge handoffs under load),
 # then an AddressSanitizer build running the archive I/O and notary-frame
 # corruption harnesses (exhaustive truncation + bit-flip sweeps over
-# hostile input), the world-determinism test, and the hashing and
+# hostile input), the world-determinism test, the hashing and
 # root-store tests (the SHA-NI kernel's unaligned loads, the one-shot
-# padding tail, exact-DER root membership).
+# padding tail, exact-DER root membership), and the notary, linking,
+# analysis and tracking tests, which read the chunked certificate table.
 #
 # The simworld_parallel_test golden-hash determinism check runs under BOTH
 # sanitizer configs: any thread-count divergence in the simulated archive
@@ -86,9 +87,10 @@ fi
 
 asan_tests=(archive_corruption_test archive_io_test simworld_parallel_test
             corpus_test netio_test notary_loopback_test live_ingest_test
-            router_test revocation_test reshard_test util_test pki_test)
+            router_test revocation_test reshard_test util_test pki_test
+            notary_test linking_test analysis_test tracking_test)
 if [[ "$run_asan" == 1 ]]; then
-  echo "== tier 1: ASan build (archive I/O + notary-frame corruption harnesses + world determinism + hashing/root store) =="
+  echo "== tier 1: ASan build (archive I/O + notary-frame corruption harnesses + world determinism + hashing/root store + certificate-table readers) =="
   cmake -B build-asan -S . -DSM_SANITIZE=address >/dev/null
   cmake --build build-asan -j --target "${asan_tests[@]}" >/dev/null
   for t in "${asan_tests[@]}"; do

@@ -18,14 +18,26 @@
 //              (0 = unroutable or no routing history supplied)
 //   stats_     the derived per-certificate row (scans seen, first/last
 //              scan, unique-IP slots, min/max IPs per scan, distinct
-//              ASes, majority AS)
+//              IPs, /24s and ASes, majority AS)
+//   keys_      each cert's SPKI key fingerprint, contiguous
+//   key_degree_  certificates in the archive sharing each cert's SPKI key
+//              (the Figure 6 key-sharing degree)
+//
+// A live corpus grows by appending scans, so a spine can also be built by
+// *extending* the spine of an earlier epoch: the previous rows and their
+// ASNs are copied, only the new observations are resolved, stats are
+// recomputed only for certificates the new scans observe, and the key
+// degree changes only for holders of keys the new certificates carry. The
+// cold build is the same code extending an empty spine.
 //
 // Construction runs on a util::ThreadPool (the process-global pool when
 // null) and is deterministic: the CSR layout is defined by archive order
-// alone, and the parallel passes (ASN resolution, per-cert stats) write
-// index-addressed slots, so every column is bit-identical at any thread
-// count. After construction the index is immutable; all accessors are
-// zero-copy spans safe to read from any number of threads.
+// alone, and the parallel passes (row copy + ASN resolution + per-cert
+// stats, key degrees) write index-addressed slots, so every column is
+// bit-identical at any thread count and equal to a cold build whether or
+// not it extended a prefix. After construction the index is immutable;
+// all accessors are zero-copy spans safe to read from any number of
+// threads.
 #pragma once
 
 #include <cstdint>
@@ -44,14 +56,27 @@ struct CertStats {
   std::uint32_t scans_seen = 0;  ///< scans with >= 1 observation
   std::uint32_t first_scan = 0;
   std::uint32_t last_scan = 0;
+  /// Distinct IPs over all observations.
+  std::uint32_t distinct_ips = 0;
   /// Sum over scans of the number of *unique* IPs advertising the cert.
   std::uint64_t total_ip_scan_slots = 0;
   std::uint32_t max_ips_in_scan = 0;
   std::uint32_t min_ips_in_scan = 0;
+  /// Distinct /24 prefixes among those IPs.
+  std::uint32_t distinct_slash24s = 0;
+  /// Distinct origin ASes over all observations, ASN 0 (unroutable)
+  /// included; 0 when built without routing.
   std::uint32_t distinct_as_count = 0;
   /// The AS hosting this certificate most often (observation-weighted;
   /// ties break toward the smallest AS number).
   net::Asn majority_as = 0;
+  /// Some observation resolved to ASN 0 (set only when built with routing).
+  bool unroutable_seen = false;
+
+  /// Distinct ASes excluding the unroutable ASN 0.
+  std::uint32_t routed_as_count() const {
+    return distinct_as_count - (unroutable_seen ? 1 : 0);
+  }
 
   /// Average unique IPs advertising the certificate per scan where seen
   /// (the paper's Figure 7 metric). 0 when never observed.
@@ -84,8 +109,18 @@ struct CorpusOptions {
 /// for its lifetime.
 class CorpusIndex {
  public:
+  /// The cold build: extends an empty spine.
   explicit CorpusIndex(const scan::ScanArchive& archive,
                        const CorpusOptions& options = {});
+
+  /// Extends `prefix`, a spine over an earlier epoch of the same corpus:
+  /// `archive` must begin with prefix.archive()'s certificates (same ids)
+  /// and scans (same observations), and `options.routing` must be the
+  /// prefix's. The result is column-for-column identical to a cold build
+  /// of `archive`. `prefix` is only read during construction. Throws
+  /// std::invalid_argument when `archive` cannot extend `prefix`.
+  CorpusIndex(const scan::ScanArchive& archive, const CorpusIndex& prefix,
+              const CorpusOptions& options = {});
 
   CorpusIndex(const CorpusIndex&) = delete;
   CorpusIndex& operator=(const CorpusIndex&) = delete;
@@ -121,6 +156,10 @@ class CorpusIndex {
     return first_device_[id];
   }
 
+  /// Certificates in the archive holding the same SPKI key as `id` (>= 1,
+  /// interned-but-never-observed certificates included).
+  std::uint32_t key_degree(scan::CertId id) const { return key_degree_[id]; }
+
   /// Lifetime in days, computed the paper's way (1 day when seen once).
   double lifetime_days(scan::CertId id) const;
 
@@ -130,6 +169,10 @@ class CorpusIndex {
   net::Asn as_of(std::size_t scan_index, std::uint32_t ip) const;
 
  private:
+  /// The one build path: extends `prefix`, or an empty spine when null.
+  void build(const CorpusIndex* prefix, util::ThreadPool& pool);
+  void build_key_degrees(const CorpusIndex* prefix, util::ThreadPool& pool);
+
   const scan::ScanArchive* archive_;
   const net::RoutingHistory* routing_;
   std::vector<const net::RouteTable*> scan_tables_;  // per scan
@@ -138,6 +181,8 @@ class CorpusIndex {
   std::vector<net::Asn> obs_asn_;                    // parallel column
   std::vector<CertStats> stats_;                     // per cert
   std::vector<scan::DeviceId> first_device_;         // per cert
+  std::vector<std::uint32_t> key_degree_;            // per cert
+  std::vector<scan::KeyFingerprint> keys_;           // per cert SPKI key
 };
 
 }  // namespace sm::corpus

@@ -31,15 +31,14 @@ bool parse_smar(std::istream& in, const char* what,
     return false;
   }
   certs.reserve(reader.cert_count());
-  if (!reader.for_each_cert(
-          [&](scan::CertId, const scan::CertRecord& cert) {
-            certs.push_back(cert);
-          })) {
+  if (!reader.for_each_cert([&](scan::CertId, scan::CertRecord&& cert) {
+        certs.push_back(std::move(cert));
+      })) {
     error = std::string(what) + ": corrupt certificate section";
     return false;
   }
   if (!reader.for_each_scan(
-          [&](const scan::ScanData& scan) { scans.push_back(scan); })) {
+          [&](scan::ScanData&& scan) { scans.push_back(std::move(scan)); })) {
     error = std::string(what) + ": corrupt scan section";
     return false;
   }
@@ -54,11 +53,27 @@ bool parse_smar(std::istream& in, const char* what,
   return true;
 }
 
+/// Every pre-existing certificate marked in `changed`, then every id from
+/// changed.size() up to `cert_count` (the newly interned ones).
+std::vector<scan::CertId> make_delta(const std::vector<char>& changed,
+                                     std::size_t cert_count) {
+  std::vector<scan::CertId> delta;
+  for (std::size_t i = 0; i < cert_count; ++i) {
+    if (i >= changed.size() || changed[i] != 0) {
+      delta.push_back(static_cast<scan::CertId>(i));
+    }
+  }
+  return delta;
+}
+
 }  // namespace
 
 struct LiveCorpus::PendingPublish {
   std::shared_ptr<scan::ScanArchive> archive;
   std::vector<scan::CertId> delta;
+  /// The current epoch's spine when `archive` extends its archive (an
+  /// append); null builds the spine cold.
+  const CorpusIndex* prefix = nullptr;
 };
 
 void LiveCorpus::publish(PendingPublish&& pending) {
@@ -68,13 +83,78 @@ void LiveCorpus::publish(PendingPublish&& pending) {
   // Build the new spine (the expensive part — readers keep serving the
   // old epoch throughout) and publish. The release store pairs with
   // snapshot()'s acquire load.
-  snap->spine = std::make_shared<const CorpusIndex>(
-      *pending.archive, CorpusOptions{routing_, pool_});
+  const CorpusOptions options{routing_, pool_};
+  snap->spine =
+      pending.prefix != nullptr
+          ? std::make_shared<const CorpusIndex>(*pending.archive,
+                                                *pending.prefix, options)
+          : std::make_shared<const CorpusIndex>(*pending.archive, options);
   snap->archive = std::move(pending.archive);
   snap->delta = std::move(pending.delta);
   snap->statuses = statuses_;
   snap->key_counts = key_counts_;
   snapshot_.store(std::move(snap), std::memory_order_release);
+}
+
+void LiveCorpus::index_certs(const scan::ScanArchive& archive) {
+  ids_.clear();
+  keys_.clear();
+  ids_.reserve(archive.certs().size());
+  keys_.reserve(archive.certs().size());
+  for (std::size_t i = 0; i < archive.certs().size(); ++i) {
+    const auto id = static_cast<scan::CertId>(i);
+    ids_.emplace(archive.cert(id).fingerprint, id);
+    keys_[archive.cert(id).key_fingerprint].push_back(id);
+  }
+}
+
+std::vector<scan::CertId> LiveCorpus::intern_certs(
+    std::vector<scan::CertRecord>& certs, scan::ScanArchive& next,
+    std::vector<char>& changed, AppendResult& result) {
+  // Intern order follows the incoming id order, so the resulting global
+  // ids are deterministic. New certificates append to `next` without a
+  // dedup lookup of its own: ids_ is the dedup table.
+  std::vector<scan::CertId> global_id(certs.size());
+  for (std::size_t i = 0; i < certs.size(); ++i) {
+    const auto [it, inserted] = ids_.try_emplace(
+        certs[i].fingerprint, static_cast<scan::CertId>(next.certs().size()));
+    global_id[i] = it->second;
+    if (!inserted) continue;
+    ++result.new_certs;
+    // A new holder of an existing SPKI raises the key-sharing degree of
+    // every certificate already holding it. Holder ids ascend, so a last
+    // holder past the old certificates means this call marked them.
+    std::vector<scan::CertId>& holders = keys_[certs[i].key_fingerprint];
+    if (holders.empty() || holders.back() < changed.size()) {
+      for (const scan::CertId peer : holders) changed[peer] = 1;
+    }
+    holders.push_back(it->second);
+    next.append_cert(std::move(certs[i]));
+  }
+  return global_id;
+}
+
+void LiveCorpus::apply_statuses(const RevocationStatusMap* statuses,
+                                std::vector<char>& changed) {
+  // A changed status alters a certificate's rendered knowledge, so
+  // already-known certs whose status moved join the delta exactly like
+  // certs the scans re-observed.
+  if (statuses == nullptr || statuses->empty()) return;
+  auto next_statuses = statuses_
+                           ? std::make_shared<RevocationStatusMap>(*statuses_)
+                           : std::make_shared<RevocationStatusMap>();
+  bool dirty = false;
+  for (const auto& [fp, status] : *statuses) {
+    const auto it = next_statuses->find(fp);
+    if (it != next_statuses->end() && it->second == status) continue;
+    (*next_statuses)[fp] = status;
+    dirty = true;
+    const auto id = ids_.find(fp);
+    if (id != ids_.end() && id->second < changed.size()) {
+      changed[id->second] = 1;
+    }
+  }
+  if (dirty) statuses_ = std::move(next_statuses);
 }
 
 LiveCorpus::LiveCorpus(scan::ScanArchive initial,
@@ -90,11 +170,7 @@ LiveCorpus::LiveCorpus(scan::ScanArchive initial,
     key_counts_ = std::make_shared<const KeyCountMap>(std::move(key_counts));
   }
   auto archive = std::make_shared<scan::ScanArchive>(std::move(initial));
-  keys_.reserve(archive->certs().size());
-  for (std::size_t i = 0; i < archive->certs().size(); ++i) {
-    keys_[archive->certs()[i].key_fingerprint].push_back(
-        static_cast<scan::CertId>(i));
-  }
+  index_certs(*archive);
   publish(PendingPublish{std::move(archive), {}});
 }
 
@@ -104,9 +180,10 @@ AppendResult LiveCorpus::append_segment(std::istream& in,
   AppendResult result;
   const std::shared_ptr<const LiveSnapshot> cur = snapshot();
 
-  // Parse the whole segment up front: any framing/checksum/ordering
-  // failure must leave the published snapshot untouched, so nothing is
-  // interned until the reader has validated every byte.
+  // Parse and validate the whole segment up front: any framing/checksum/
+  // ordering failure must leave the published snapshot and all ingest
+  // state untouched, so nothing is interned until the reader has
+  // validated every byte. Nothing below can fail.
   std::vector<scan::CertRecord> segment_certs;
   std::vector<scan::ScanData> segment_scans;
   if (!parse_smar(in, "segment", segment_certs, segment_scans,
@@ -127,31 +204,14 @@ AppendResult LiveCorpus::append_segment(std::istream& in,
     return result;
   }
 
-  // Copy-on-append: the new epoch gets its own archive; every snapshot
-  // already handed out keeps (and owns) the previous one.
+  // The new epoch's archive shares every full certificate chunk with the
+  // current one (which every snapshot already handed out keeps) and
+  // copies its scan list; the segment's certificates are moved in.
   auto next = std::make_shared<scan::ScanArchive>(*cur->archive);
   const std::size_t old_cert_count = next->certs().size();
-
-  // Re-intern the segment's certificates. Intern order follows the
-  // segment's id order, so the resulting global ids are deterministic.
-  std::vector<scan::CertId> global_id(segment_certs.size());
   std::vector<char> changed(old_cert_count, 0);
-  std::vector<std::pair<scan::KeyFingerprint, scan::CertId>> new_keys;
-  for (std::size_t i = 0; i < segment_certs.size(); ++i) {
-    const scan::KeyFingerprint key = segment_certs[i].key_fingerprint;
-    const scan::CertId id = next->intern(std::move(segment_certs[i]));
-    global_id[i] = id;
-    if (id >= old_cert_count) {
-      ++result.new_certs;
-      new_keys.emplace_back(key, id);
-      // A new holder of an existing SPKI raises the key-sharing degree
-      // of every certificate already holding it.
-      const auto it = keys_.find(key);
-      if (it != keys_.end()) {
-        for (const scan::CertId peer : it->second) changed[peer] = 1;
-      }
-    }
-  }
+  const std::vector<scan::CertId> global_id =
+      intern_certs(segment_certs, *next, changed, result);
 
   // Append the scans with observations remapped to global ids; every
   // observed certificate's history (and stats row) changes.
@@ -164,46 +224,22 @@ AppendResult LiveCorpus::append_segment(std::istream& in,
     next->add_scan(std::move(scan));
     ++result.scans_appended;
   }
-
-  // Sidecar statuses: a changed status alters a certificate's rendered
-  // knowledge, so already-known certs whose status moved join the delta
-  // exactly like certs the scans re-observed.
-  if (statuses != nullptr && !statuses->empty()) {
-    auto next_statuses =
-        statuses_ ? std::make_shared<RevocationStatusMap>(*statuses_)
-                  : std::make_shared<RevocationStatusMap>();
-    bool dirty = false;
-    for (const auto& [fp, status] : *statuses) {
-      const auto it = next_statuses->find(fp);
-      if (it != next_statuses->end() && it->second == status) continue;
-      (*next_statuses)[fp] = status;
-      dirty = true;
-      scan::CertId id = 0;
-      if (next->find(fp, id) && id < old_cert_count) changed[id] = 1;
-    }
-    if (dirty) statuses_ = std::move(next_statuses);
-  }
+  apply_statuses(statuses, changed);
   // Injected full-corpus degrees: every newly interned certificate is a
   // new holder of its key corpus-wide.
-  if (key_counts_ != nullptr && !new_keys.empty()) {
+  if (key_counts_ != nullptr && result.new_certs > 0) {
     auto next_counts = std::make_shared<KeyCountMap>(*key_counts_);
-    for (const auto& [key, id] : new_keys) ++(*next_counts)[key];
+    for (std::size_t id = old_cert_count; id < next->certs().size(); ++id) {
+      ++(*next_counts)[next->cert(static_cast<scan::CertId>(id))
+                           .key_fingerprint];
+    }
     key_counts_ = std::move(next_counts);
   }
 
-  // The delta: every pre-existing cert marked above plus every new one.
-  std::vector<scan::CertId> delta;
-  for (std::size_t i = 0; i < old_cert_count; ++i) {
-    if (changed[i] != 0) delta.push_back(static_cast<scan::CertId>(i));
-  }
-  for (std::size_t i = old_cert_count; i < next->certs().size(); ++i) {
-    delta.push_back(static_cast<scan::CertId>(i));
-  }
+  std::vector<scan::CertId> delta = make_delta(changed, next->certs().size());
   result.delta_size = delta.size();
-
-  // Commit the append-side key map only now that nothing can fail.
-  for (const auto& [key, id] : new_keys) keys_[key].push_back(id);
-  publish(PendingPublish{std::move(next), std::move(delta)});
+  // The new archive extends the current one, so the spine extends too.
+  publish(PendingPublish{std::move(next), std::move(delta), cur->spine.get()});
   result.ok = true;
   return result;
 }
@@ -233,32 +269,14 @@ AppendResult LiveCorpus::merge_slice(std::istream& in,
     return result;
   }
 
-  // Rebuild rather than copy: merging appends observations into existing
-  // scans, which the archive's append-only API cannot express in place.
-  // Interning the current certs first, in id order, keeps every existing
-  // id stable; slice certs follow (duplicates dedup, new ones append).
-  auto next = std::make_shared<scan::ScanArchive>();
-  next->reserve_certs(cur->archive->certs().size() + slice_certs.size());
-  for (const scan::CertRecord& cert : cur->archive->certs()) {
-    next->intern(cert);
-  }
+  // The certificate table is shared and appended to, so existing ids
+  // stay stable; the scan list is rebuilt, because merging appends
+  // observations into existing scans.
+  auto next = std::make_shared<scan::ScanArchive>(cur->archive->certs());
   const std::size_t old_cert_count = next->certs().size();
   std::vector<char> changed(old_cert_count, 0);
-  std::vector<scan::CertId> global_id(slice_certs.size());
-  std::vector<std::pair<scan::KeyFingerprint, scan::CertId>> new_keys;
-  for (std::size_t i = 0; i < slice_certs.size(); ++i) {
-    const scan::KeyFingerprint key = slice_certs[i].key_fingerprint;
-    const scan::CertId id = next->intern(std::move(slice_certs[i]));
-    global_id[i] = id;
-    if (id >= old_cert_count) {
-      ++result.new_certs;
-      new_keys.emplace_back(key, id);
-      const auto it = keys_.find(key);
-      if (it != keys_.end()) {
-        for (const scan::CertId peer : it->second) changed[peer] = 1;
-      }
-    }
-  }
+  const std::vector<scan::CertId> global_id =
+      intern_certs(slice_certs, *next, changed, result);
 
   // Two-pointer walk over both timelines in start order. A start present
   // on both sides is the same scan: local observations first, then the
@@ -304,21 +322,7 @@ AppendResult LiveCorpus::merge_slice(std::istream& in,
   // certs), degrees take the larger value — both sides derive from the
   // same full corpus, so the larger one is the fresher count. A degree
   // change re-renders every local holder of that key.
-  if (statuses != nullptr && !statuses->empty()) {
-    auto next_statuses =
-        statuses_ ? std::make_shared<RevocationStatusMap>(*statuses_)
-                  : std::make_shared<RevocationStatusMap>();
-    bool dirty = false;
-    for (const auto& [fp, status] : *statuses) {
-      const auto it = next_statuses->find(fp);
-      if (it != next_statuses->end() && it->second == status) continue;
-      (*next_statuses)[fp] = status;
-      dirty = true;
-      scan::CertId id = 0;
-      if (next->find(fp, id) && id < old_cert_count) changed[id] = 1;
-    }
-    if (dirty) statuses_ = std::move(next_statuses);
-  }
+  apply_statuses(statuses, changed);
   if (key_counts != nullptr && !key_counts->empty()) {
     auto next_counts = key_counts_
                            ? std::make_shared<KeyCountMap>(*key_counts_)
@@ -329,23 +333,18 @@ AppendResult LiveCorpus::merge_slice(std::istream& in,
         slot = count;
         const auto it = keys_.find(key);
         if (it != keys_.end()) {
-          for (const scan::CertId peer : it->second) changed[peer] = 1;
+          for (const scan::CertId peer : it->second) {
+            if (peer < old_cert_count) changed[peer] = 1;
+          }
         }
       }
     }
     key_counts_ = std::move(next_counts);
   }
 
-  std::vector<scan::CertId> delta;
-  for (std::size_t i = 0; i < old_cert_count; ++i) {
-    if (changed[i] != 0) delta.push_back(static_cast<scan::CertId>(i));
-  }
-  for (std::size_t i = old_cert_count; i < next->certs().size(); ++i) {
-    delta.push_back(static_cast<scan::CertId>(i));
-  }
+  std::vector<scan::CertId> delta = make_delta(changed, next->certs().size());
   result.delta_size = delta.size();
-
-  for (const auto& [key, id] : new_keys) keys_[key].push_back(id);
+  // Observations joined existing scans: the spine is built cold.
   publish(PendingPublish{std::move(next), std::move(delta)});
   result.ok = true;
   return result;
@@ -362,7 +361,7 @@ AppendResult LiveCorpus::retire_prefix(std::uint8_t lo, std::uint8_t hi) {
   for (std::size_t id = 0; id < full.certs().size(); ++id) {
     const scan::CertRecord& cert = full.cert(static_cast<scan::CertId>(id));
     if (cert.fingerprint[0] >= lo && cert.fingerprint[0] <= hi) continue;
-    local[id] = next->intern(cert);
+    local[id] = next->append_cert(scan::CertRecord(cert));
   }
   for (const scan::ScanData& scan : full.scans()) {
     scan::ScanData copy;
@@ -374,15 +373,10 @@ AppendResult LiveCorpus::retire_prefix(std::uint8_t lo, std::uint8_t hi) {
     next->add_scan(std::move(copy));
   }
 
-  // Ids were remapped: rebuild the key map and invalidate everything —
-  // the delta spans every id either epoch ever used, so no stale render
-  // survives under a reused id.
-  keys_.clear();
-  keys_.reserve(next->certs().size());
-  for (std::size_t i = 0; i < next->certs().size(); ++i) {
-    keys_[next->certs()[i].key_fingerprint].push_back(
-        static_cast<scan::CertId>(i));
-  }
+  // Ids were remapped: rebuild the dedup and key maps and invalidate
+  // everything — the delta spans every id either epoch ever used, so no
+  // stale render survives under a reused id.
+  index_certs(*next);
   if (statuses_) {
     auto next_statuses = std::make_shared<RevocationStatusMap>();
     next_statuses->reserve(statuses_->size());
@@ -395,12 +389,8 @@ AppendResult LiveCorpus::retire_prefix(std::uint8_t lo, std::uint8_t hi) {
   // key_counts_ stays: full-corpus degrees are true regardless of which
   // slice this daemon serves.
 
-  const std::size_t span =
-      std::max(full.certs().size(), next->certs().size());
-  std::vector<scan::CertId> delta(span);
-  for (std::size_t i = 0; i < span; ++i) {
-    delta[i] = static_cast<scan::CertId>(i);
-  }
+  std::vector<scan::CertId> delta = make_delta(
+      {}, std::max(full.certs().size(), next->certs().size()));
   result.delta_size = delta.size();
 
   publish(PendingPublish{std::move(next), std::move(delta)});

@@ -8,10 +8,12 @@
 // of new scan segments:
 //
 //   * ingest: append_segment() streams one SMAR segment (certificates +
-//     scans) through scan::ArchiveReader, re-interns its certificates
-//     into a *copy* of the current archive, appends its scans, and
-//     builds a fresh immutable corpus::CorpusIndex spine on the shared
-//     util::ThreadPool;
+//     scans) through scan::ArchiveReader, moves its new certificates
+//     into a copy of the current archive — a copy that shares every full
+//     certificate chunk with it, so no record is copied — appends its
+//     scans, and extends the current epoch's immutable
+//     corpus::CorpusIndex spine on the shared util::ThreadPool (old rows
+//     copied, only the new observations resolved and re-derived);
 //   * publish: the new (archive, spine, delta) triple becomes a
 //     LiveSnapshot published through one epoch/RCU-style shared_ptr
 //     swap (std::atomic<std::shared_ptr>, release store). Readers take
@@ -41,11 +43,13 @@
 //     NotaryIndex builds inject them so a slice answers byte-identically
 //     to the unsharded oracle;
 //   * resharding: merge_slice() absorbs another shard's prefix slice
-//     (matching scans by start time and concatenating observations), and
-//     retire_prefix() drops a handed-off range. retire rebuilds the
-//     intern table, so it is the one operation that breaks cert-id
-//     stability — its delta deliberately spans every id of both the old
-//     and new epoch, forcing a full downstream cache flush.
+//     (matching scans by start time and concatenating observations; the
+//     certificate table is shared and appended to, the spine built
+//     cold), and retire_prefix() drops a handed-off range. retire
+//     rebuilds the certificate table, so it is the one operation that
+//     breaks cert-id stability — its delta deliberately spans every id
+//     of both the old and new epoch, forcing a full downstream cache
+//     flush.
 #pragma once
 
 #include <atomic>
@@ -173,14 +177,34 @@ class LiveCorpus {
  private:
   struct PendingPublish;
   void publish(PendingPublish&& pending);
+  /// Rebuilds ids_ and keys_ over `archive`'s certificates.
+  void index_certs(const scan::ScanArchive& archive);
+  /// Interns `certs` (moved from) into `next` through ids_, returning
+  /// each one's global id; marks in `changed` the existing certs whose
+  /// key a new one shares, and counts new certs into `result`.
+  std::vector<scan::CertId> intern_certs(std::vector<scan::CertRecord>& certs,
+                                         scan::ScanArchive& next,
+                                         std::vector<char>& changed,
+                                         AppendResult& result);
+  /// Folds `statuses` into statuses_, marking known certs whose status
+  /// moved in `changed`.
+  void apply_statuses(const RevocationStatusMap* statuses,
+                      std::vector<char>& changed);
 
   const net::RoutingHistory* routing_;
   util::ThreadPool* pool_;
 
   std::mutex append_mutex_;  ///< serializes writers; readers never take it
-  /// SPKI key -> certificate ids holding it, over the *current* epoch's
-  /// certificates (append-side state, guarded by append_mutex_). Used to
-  /// find the existing certs whose key-sharing degree a new cert changes.
+  /// Append-side state over the *current* epoch's certificates, guarded
+  /// by append_mutex_ and never copied per epoch:
+  ///   ids_   fingerprint -> certificate id, the dedup table appends and
+  ///          merges intern through (epoch archives carry none of their
+  ///          own);
+  ///   keys_  SPKI key -> certificate ids holding it, to find the
+  ///          existing certs whose key-sharing degree a new cert changes.
+  std::unordered_map<scan::CertFingerprint, scan::CertId,
+                     scan::FingerprintHash>
+      ids_;
   std::unordered_map<scan::KeyFingerprint, std::vector<scan::CertId>> keys_;
   /// Current sidecar versions (append-side; published by pointer, copied
   /// on change). statuses_ null means empty; key_counts_ null means "not

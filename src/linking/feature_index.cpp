@@ -5,7 +5,7 @@
 
 namespace sm::linking {
 
-FeatureIndex::FeatureIndex(const std::vector<scan::CertRecord>& certs,
+FeatureIndex::FeatureIndex(const scan::CertTable& certs,
                            const std::vector<bool>& include,
                            bool exclude_ip_common_names,
                            util::ThreadPool* pool)

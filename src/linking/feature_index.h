@@ -32,7 +32,7 @@ class FeatureIndex {
   /// (pass the linker's eligibility mask so excluded certificates cost
   /// nothing). Features are interned in parallel on `pool` (global pool
   /// when null); the result is identical for every thread count.
-  FeatureIndex(const std::vector<scan::CertRecord>& certs,
+  FeatureIndex(const scan::CertTable& certs,
                const std::vector<bool>& include, bool exclude_ip_common_names,
                util::ThreadPool* pool = nullptr);
 

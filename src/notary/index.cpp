@@ -4,7 +4,6 @@
 #include <bit>
 #include <cinttypes>
 #include <cstdio>
-#include <span>
 #include <string_view>
 
 #include "util/datetime.h"
@@ -19,78 +18,58 @@ NotaryIndex::NotaryIndex(const corpus::CorpusIndex& corpus,
   const scan::ScanArchive& archive = corpus.archive();
   const auto& certs = archive.certs();
   const auto& scans = archive.scans();
-  const std::size_t cert_count = certs.size();
-  entries_.resize(cert_count);
+  size_ = certs.size();
   scan_count_ = scans.size();
   last_scan_start_ = scans.empty() ? 0 : scans.back().event.start;
 
-  // Key-sharing degree: certificates per SPKI fingerprint — over this
-  // archive, unless the caller supplies degrees computed over a larger
-  // corpus (the prefix-shard case, where the slice under-counts).
-  std::unordered_map<scan::KeyFingerprint, std::uint32_t> local_key_counts;
-  const auto* key_counts = options.key_counts;
-  if (key_counts == nullptr) {
-    local_key_counts.reserve(cert_count);
-    for (const scan::CertRecord& cert : certs) {
-      ++local_key_counts[cert.key_fingerprint];
-    }
-    key_counts = &local_key_counts;
-  }
-
-  // Per-certificate derivation over the shared spine's CSR and ASN
-  // columns: independent index-addressed slots, so the result is identical
-  // at every thread count.
-  pool.parallel_for(cert_count, 256, [&](std::size_t begin,
-                                         std::size_t end) {
-    std::vector<std::uint32_t> ips;
-    std::vector<std::uint32_t> slash24s;
-    std::vector<net::Asn> ases;
-    for (std::size_t i = begin; i < end; ++i) {
-      const scan::CertRecord& record = certs[i];
-      CertKnowledge& k = entries_[i];
-      k.fingerprint = record.fingerprint;
-      k.valid = record.valid;
-      k.transvalid = record.transvalid;
-      k.reason = record.invalid_reason;
-      k.subject_cn = record.subject_cn;
-      k.issuer_cn = record.issuer_cn;
-      k.not_before = record.not_before;
-      k.not_after = record.not_after;
-      k.key_sharing = key_counts->at(record.key_fingerprint);
-      if (options.revocation_statuses != nullptr) {
-        const auto rev = options.revocation_statuses->find(record.fingerprint);
-        if (rev != options.revocation_statuses->end()) {
-          k.revocation = rev->second;
+  // A gather over the shared spine's columns: stats rows, key degrees
+  // (unless the caller injects degrees computed over a larger corpus —
+  // the prefix-shard case, where the slice under-counts) and the
+  // archive's records. Each chunk of entries is allocated, filled and
+  // bucketed by shard on one worker; the slots are index-addressed, so
+  // the result is identical at every thread count.
+  const std::size_t chunk_count = (size_ + kEntryChunk - 1) / kEntryChunk;
+  entries_.resize(chunk_count);
+  std::vector<std::array<std::vector<scan::CertId>, kShards>> buckets(
+      chunk_count);
+  pool.parallel_for(chunk_count, 1, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t c = begin; c < end; ++c) {
+      const std::size_t first = c * kEntryChunk;
+      entries_[c].resize(std::min(kEntryChunk, size_ - first));
+      for (std::size_t i = first; i < first + entries_[c].size(); ++i) {
+        const auto id = static_cast<scan::CertId>(i);
+        const scan::CertRecord& record = certs[i];
+        CertKnowledge& k = entries_[c][i - first];
+        buckets[c][shard_of(record.fingerprint)].push_back(id);
+        k.fingerprint = record.fingerprint;
+        k.valid = record.valid;
+        k.transvalid = record.transvalid;
+        k.reason = record.invalid_reason;
+        k.subject_cn = record.subject_cn;
+        k.issuer_cn = record.issuer_cn;
+        k.not_before = record.not_before;
+        k.not_after = record.not_after;
+        k.key_sharing = options.key_counts != nullptr
+                            ? options.key_counts->at(record.key_fingerprint)
+                            : corpus.key_degree(id);
+        if (options.revocation_statuses != nullptr) {
+          const auto rev =
+              options.revocation_statuses->find(record.fingerprint);
+          if (rev != options.revocation_statuses->end()) {
+            k.revocation = rev->second;
+          }
         }
-      }
 
-      const auto id = static_cast<scan::CertId>(i);
-      const std::span<const corpus::Obs> obs = corpus.observations(id);
-      const std::span<const net::Asn> asns = corpus.asns(id);
-      k.observations = obs.size();
-      if (obs.empty()) continue;  // interned but never observed
-      const corpus::CertStats& stats = corpus.stats(id);
-      k.scans_seen = stats.scans_seen;
-      k.first_seen = scans[stats.first_scan].event.start;
-      k.last_seen = scans[stats.last_scan].event.start;
-
-      ips.clear();
-      slash24s.clear();
-      ases.clear();
-      for (std::size_t o = 0; o < obs.size(); ++o) {
-        ips.push_back(obs[o].ip);
-        slash24s.push_back(obs[o].ip >> 8);
-        // Unroutable observations (ASN 0) don't contribute an AS.
-        if (asns[o] != 0) ases.push_back(asns[o]);
+        k.observations = corpus.observations(id).size();
+        if (k.observations == 0) continue;  // interned but never observed
+        const corpus::CertStats& stats = corpus.stats(id);
+        k.scans_seen = stats.scans_seen;
+        k.first_seen = scans[stats.first_scan].event.start;
+        k.last_seen = scans[stats.last_scan].event.start;
+        k.distinct_ips = stats.distinct_ips;
+        k.distinct_slash24s = stats.distinct_slash24s;
+        k.distinct_ases = stats.routed_as_count();
       }
-      const auto distinct = [](auto& v) {
-        std::sort(v.begin(), v.end());
-        return static_cast<std::uint32_t>(
-            std::unique(v.begin(), v.end()) - v.begin());
-      };
-      k.distinct_ips = distinct(ips);
-      k.distinct_slash24s = distinct(slash24s);
-      k.distinct_ases = distinct(ases);
     }
   });
 
@@ -98,60 +77,58 @@ NotaryIndex::NotaryIndex(const corpus::CorpusIndex& corpus,
     const auto& groups = *options.device_groups;
     for (std::size_t g = 0; g < groups.size(); ++g) {
       for (const scan::CertId cert : groups[g]) {
-        entries_[cert].linked_device = static_cast<std::uint32_t>(g);
+        entries_[cert / kEntryChunk][cert % kEntryChunk].linked_device =
+            static_cast<std::uint32_t>(g);
       }
     }
   }
 
-  // Shard tables: bucket serially (deterministic id order), build the
-  // flat open-addressing arrays in parallel — each shard is written by
-  // exactly one chunk, and insertion order (ascending cert id) plus a
-  // fixed probe sequence make the table bytes identical at every thread
-  // count.
-  std::array<std::vector<scan::CertId>, kShards> buckets;
-  for (std::size_t i = 0; i < cert_count; ++i) {
-    buckets[shard_of(certs[i].fingerprint)].push_back(
-        static_cast<scan::CertId>(i));
-  }
+  // Shard tables: the flat open-addressing arrays are built in parallel,
+  // each shard by exactly one chunk, inserting its buckets in chunk
+  // order. That insertion order (ascending cert id) plus a fixed probe
+  // sequence make the table bytes identical at every thread count.
   pool.parallel_for(kShards, 1, [&](std::size_t begin, std::size_t end) {
     for (std::size_t s = begin; s < end; ++s) {
       Shard& shard = shards_[s];
-      const std::size_t n = buckets[s].size();
+      std::size_t n = 0;
+      for (const auto& chunk : buckets) n += chunk[s].size();
       if (n == 0) continue;  // empty shard: no table at all
       // Power-of-two capacity at most 70% full, so linear probes stay
       // short; min 8 slots keeps the mask math uniform for tiny shards.
       const std::size_t want = std::max<std::size_t>(8, n + (n * 3) / 7 + 1);
       shard.slots.assign(std::bit_ceil(want), Slot{});
       shard.mask = shard.slots.size() - 1;
-      for (const scan::CertId id : buckets[s]) {
-        const scan::CertFingerprint& fp = certs[id].fingerprint;
-        std::size_t i = static_cast<std::size_t>(probe_hash(fp)) & shard.mask;
-        for (;; i = (i + 1) & shard.mask) {
-          Slot& slot = shard.slots[i];
-          if (slot.id == kEmptySlot) {
-            slot.fp = fp;
-            slot.id = id;
-            ++shard.count;
-            break;
+      for (const auto& chunk : buckets) {
+        for (const scan::CertId id : chunk[s]) {
+          const scan::CertFingerprint& fp = certs[id].fingerprint;
+          std::size_t i =
+              static_cast<std::size_t>(probe_hash(fp)) & shard.mask;
+          for (;; i = (i + 1) & shard.mask) {
+            Slot& slot = shard.slots[i];
+            if (slot.id == kEmptySlot) {
+              slot.fp = fp;
+              slot.id = id;
+              ++shard.count;
+              break;
+            }
+            // Duplicate fingerprint (interned archives should not
+            // produce one): keep the first id, matching the old map's
+            // emplace.
+            if (slot.fp == fp) break;
           }
-          // Duplicate fingerprint (interned archives should not produce
-          // one): keep the first id, matching the old map's emplace.
-          if (slot.fp == fp) break;
         }
       }
     }
   });
 }
 
-const CertKnowledge* NotaryIndex::lookup(
-    const scan::CertFingerprint& fp) const {
+scan::CertId NotaryIndex::find(const scan::CertFingerprint& fp) const {
   const Shard& shard = shards_[shard_of(fp)];
-  if (shard.slots.empty()) return nullptr;
+  if (shard.slots.empty()) return kUnknownCert;
   std::size_t i = static_cast<std::size_t>(probe_hash(fp)) & shard.mask;
   for (;; i = (i + 1) & shard.mask) {
     const Slot& slot = shard.slots[i];
-    if (slot.id == kEmptySlot) return nullptr;
-    if (slot.fp == fp) return &entries_[slot.id];
+    if (slot.id == kEmptySlot || slot.fp == fp) return slot.id;
   }
 }
 

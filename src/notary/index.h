@@ -14,8 +14,11 @@
 // firmware-family tell), and which linked device identity the §6 linking
 // methodology assigned (when linking output is supplied).
 //
-// Construction is parallel on a util::ThreadPool and deterministic: every
-// field and every rendered response is byte-identical at any thread count.
+// Construction is a parallel gather on a util::ThreadPool: every derived
+// figure (scans, first/last seen, distinct IPs, /24s and ASes, key-sharing
+// degree) is read from the corpus::CorpusIndex spine's columns, never
+// re-derived here. It is deterministic: every field and every rendered
+// response is byte-identical at any thread count.
 // After construction the index is immutable, so lookups are lock-free and
 // safe from any number of server workers.
 #pragma once
@@ -93,8 +96,9 @@ struct NotaryIndexOptions {
   /// corpus than this index's archive (borrowed; must cover every key in
   /// the archive). A fingerprint-prefix shard (sm_notaryd --shard-prefix)
   /// must report the FULL corpus's degree — its slice alone under-counts
-  /// keys whose other holders live on other shards. Null = count over
-  /// the archive being indexed (the single-process case).
+  /// keys whose other holders live on other shards. Null = the spine's
+  /// key-degree column, counted over the archive being indexed (the
+  /// single-process case).
   const std::unordered_map<scan::KeyFingerprint, std::uint32_t>* key_counts =
       nullptr;
   /// Revocation statuses per certificate fingerprint (borrowed; e.g.
@@ -126,15 +130,25 @@ class NotaryIndex {
   explicit NotaryIndex(const corpus::CorpusIndex& corpus,
                        const NotaryIndexOptions& options = {});
 
+  /// Returned by find() for a fingerprint the index does not hold.
+  static constexpr scan::CertId kUnknownCert = 0xffffffff;
+
+  /// Fingerprint lookup: the certificate's archive id (the key its
+  /// cached render lives under), or kUnknownCert. Lock-free.
+  scan::CertId find(const scan::CertFingerprint& fp) const;
+
   /// Fingerprint lookup; nullptr when unknown. Lock-free.
-  const CertKnowledge* lookup(const scan::CertFingerprint& fp) const;
+  const CertKnowledge* lookup(const scan::CertFingerprint& fp) const {
+    const scan::CertId id = find(fp);
+    return id == kUnknownCert ? nullptr : &knowledge(id);
+  }
 
   /// Knowledge by archive certificate id.
   const CertKnowledge& knowledge(scan::CertId id) const {
-    return entries_[id];
+    return entries_[id / kEntryChunk][id % kEntryChunk];
   }
 
-  std::size_t size() const { return entries_.size(); }
+  std::size_t size() const { return size_; }
 
   /// Staleness bound for the kSnapshotInfo response: how many scans the
   /// index was built over, and when the newest of them started.
@@ -156,7 +170,7 @@ class NotaryIndex {
  private:
   /// Sentinel cert id marking an unused table slot (real archives top out
   /// far below 2^32 certificates).
-  static constexpr scan::CertId kEmptySlot = 0xffffffff;
+  static constexpr scan::CertId kEmptySlot = kUnknownCert;
 
   /// One table slot: 20 bytes, so a probe touches at most two cache
   /// lines even when it crosses a slot boundary.
@@ -181,9 +195,15 @@ class NotaryIndex {
     return h;
   }
 
+  /// Entries per chunk of entries_: chunks are allocated and filled in
+  /// parallel, so building an index never default-constructs every
+  /// entry on one thread (a power of two, so id -> chunk is a shift).
+  static constexpr std::size_t kEntryChunk = 65536;
+
+  std::size_t size_ = 0;
   std::size_t scan_count_ = 0;
   util::UnixTime last_scan_start_ = 0;
-  std::vector<CertKnowledge> entries_;  // [cert id]
+  std::vector<std::vector<CertKnowledge>> entries_;  // [chunk][id % chunk]
   std::array<Shard, kShards> shards_;
 };
 

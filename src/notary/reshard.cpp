@@ -284,19 +284,16 @@ struct ReshardHost::Impl {
 
   /// Builds the sidecar blob for one outbound round: degrees and
   /// statuses for the range's certificates, from the snapshot's injected
-  /// maps when present (a shard) or derived locally (an unsharded corpus
-  /// IS the full corpus, so its local degree is the full degree).
+  /// maps when present (a shard) or the spine's key-degree column (an
+  /// unsharded corpus IS the full corpus, so its local degree is the full
+  /// degree).
   std::string build_sidecar(const corpus::LiveSnapshot& snap,
                             std::uint8_t lo, std::uint8_t hi) {
     corpus::KeyCountMap counts;
     corpus::RevocationStatusMap statuses;
-    corpus::KeyCountMap local_degrees;
-    if (!snap.key_counts) {
-      for (const scan::CertRecord& cert : snap.archive->certs()) {
-        ++local_degrees[cert.key_fingerprint];
-      }
-    }
-    for (const scan::CertRecord& cert : snap.archive->certs()) {
+    const scan::CertTable& certs = snap.archive->certs();
+    for (std::size_t id = 0; id < certs.size(); ++id) {
+      const scan::CertRecord& cert = certs[id];
       if (cert.fingerprint[0] < lo || cert.fingerprint[0] > hi) continue;
       if (snap.key_counts) {
         const auto it = snap.key_counts->find(cert.key_fingerprint);
@@ -304,7 +301,8 @@ struct ReshardHost::Impl {
           counts[cert.key_fingerprint] = it->second;
         }
       } else {
-        counts[cert.key_fingerprint] = local_degrees[cert.key_fingerprint];
+        counts[cert.key_fingerprint] =
+            snap.spine->key_degree(static_cast<scan::CertId>(id));
       }
       if (snap.statuses) {
         const auto it = snap.statuses->find(cert.fingerprint);

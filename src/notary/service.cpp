@@ -340,17 +340,16 @@ void NotaryService::handle_into(netio::FrameType type,
       // lookup and render run lock-free against the immutable index
       // (the shared_ptr keeps it alive across a concurrent publish).
       const std::shared_ptr<const Snapshot> snap = snapshot();
-      const CertKnowledge* k = snap->index->lookup(fp);
-      if (k == nullptr) {
+      const scan::CertId id = snap->index->find(fp);
+      if (id == NotaryIndex::kUnknownCert) {
         not_found_.fetch_add(1, std::memory_order_relaxed);
         netio::FrameWriter frame(out, netio::FrameType::kNotFound);
         append_hex_fingerprint(out, fp);
         frame.finish();
       } else {
         found_.fetch_add(1, std::memory_order_relaxed);
-        const auto id =
-            static_cast<scan::CertId>(k - &snap->index->knowledge(0));
-        append_knowledge(fp, id, *k, snap->epoch, /*as_frame=*/true, out);
+        append_knowledge(fp, id, snap->index->knowledge(id), snap->epoch,
+                         /*as_frame=*/true, out);
       }
       break;
     }
@@ -375,8 +374,8 @@ void NotaryService::handle_into(netio::FrameType type,
       netio::put_u32le(out, view.size());
       for (std::uint32_t i = 0; i < view.size(); ++i) {
         const scan::CertFingerprint fp = view.fingerprint(i);
-        const CertKnowledge* k = snap->index->lookup(fp);
-        if (k == nullptr) {
+        const scan::CertId id = snap->index->find(fp);
+        if (id == NotaryIndex::kUnknownCert) {
           not_found_.fetch_add(1, std::memory_order_relaxed);
           const std::size_t body =
               begin_batch_entry(out, netio::FrameType::kNotFound);
@@ -384,11 +383,10 @@ void NotaryService::handle_into(netio::FrameType type,
           end_batch_entry(out, body);
         } else {
           found_.fetch_add(1, std::memory_order_relaxed);
-          const auto id =
-              static_cast<scan::CertId>(k - &snap->index->knowledge(0));
           const std::size_t body =
               begin_batch_entry(out, netio::FrameType::kCertInfo);
-          append_knowledge(fp, id, *k, snap->epoch, /*as_frame=*/false, out);
+          append_knowledge(fp, id, snap->index->knowledge(id), snap->epoch,
+                           /*as_frame=*/false, out);
           end_batch_entry(out, body);
         }
       }

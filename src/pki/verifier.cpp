@@ -70,9 +70,11 @@ bool is_self_signature(const x509::Certificate& cert) {
 // caller-owned transients and mostly unique, so an address key would be
 // both unsafe and useless.
 //
-// Racing threads may compute the same entry twice; both compute the same
-// value (the functions are pure), so the winner of the emplace is
-// indistinguishable from the loser and results stay deterministic.
+// Each entry is claimed once: the first thread to look a key up inserts a
+// pending slot and computes it; any thread that finds the slot waits for
+// the value. Every key is therefore computed exactly once, so the
+// sig_checks and sig_cache_hits counters — not just the results — are
+// identical at every thread count.
 class VerifierMemo {
  public:
   template <typename Fn>
@@ -121,28 +123,47 @@ class VerifierMemo {
     Shard shard[kShards];
   };
 
-  // Returns the cached value for `key`, or computes it outside the lock and
-  // caches it. The compute callback must be pure in `key`.
+  // One memo entry: kPending until its claimant publishes the value.
+  // unordered_map nodes never move, so waiters may hold a reference.
+  struct Slot {
+    static constexpr std::uint8_t kPending = 0;
+    static constexpr std::uint8_t kFalse = 1;
+    static constexpr std::uint8_t kTrue = 2;
+    std::atomic<std::uint8_t> state{kPending};
+  };
+
+  // Returns the cached value for `key`. The first caller claims the slot
+  // and computes outside the lock; later callers count a hit and wait for
+  // the claimant's value. The compute callback must be pure in `key` and
+  // must not throw.
   template <typename MapT, typename KeyT, typename Fn>
   static bool memoized(Shards<MapT>& shards, const KeyT& key,
                        std::atomic<std::uint64_t>* hits, Fn&& compute) {
     auto& shard =
         shards.shard[typename MapT::hasher{}(key) % kShards];
+    Slot* slot = nullptr;
+    bool claimed = false;
     {
       std::lock_guard lock(shard.mutex);
-      if (const auto it = shard.map.find(key); it != shard.map.end()) {
-        if (hits != nullptr) hits->fetch_add(1, std::memory_order_relaxed);
-        return it->second;
-      }
+      const auto [it, inserted] = shard.map.try_emplace(key);
+      slot = &it->second;
+      claimed = inserted;
     }
-    const bool value = compute();
-    std::lock_guard lock(shard.mutex);
-    return shard.map.emplace(key, value).first->second;
+    if (claimed) {
+      const bool value = compute();
+      slot->state.store(value ? Slot::kTrue : Slot::kFalse,
+                        std::memory_order_release);
+      slot->state.notify_all();
+      return value;
+    }
+    if (hits != nullptr) hits->fetch_add(1, std::memory_order_relaxed);
+    slot->state.wait(Slot::kPending, std::memory_order_acquire);
+    return slot->state.load(std::memory_order_acquire) == Slot::kTrue;
   }
 
-  Shards<std::unordered_map<const void*, bool>> self_sig_;
-  Shards<std::unordered_map<const void*, bool>> root_member_;
-  Shards<std::unordered_map<PtrPair, bool, PtrPairHash>> sig_pair_;
+  Shards<std::unordered_map<const void*, Slot>> self_sig_;
+  Shards<std::unordered_map<const void*, Slot>> root_member_;
+  Shards<std::unordered_map<PtrPair, Slot, PtrPairHash>> sig_pair_;
 };
 
 Verifier::Verifier(const RootStore& roots, const IntermediatePool& intermediates,
@@ -351,8 +372,7 @@ namespace {
 // certificate naming that issuer. The entry is a pure function of
 // (source, issuer_key, now, stores), so racing threads that compute it
 // twice produce identical values and the emplace winner is
-// indistinguishable from the loser — same determinism argument as
-// VerifierMemo.
+// indistinguishable from the loser.
 struct CrlVerdict {
   bool reachable = false;  ///< the distribution point answered
   bool verified = false;   ///< parsed + issuer signature checked + sane dates

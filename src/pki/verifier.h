@@ -177,7 +177,8 @@ class Verifier {
 };
 
 /// Counters a BatchVerifier accumulates across its lifetime. Totals are
-/// exact; they are only incremented with relaxed atomics, so read them
+/// exact and the same at every thread count (each memo entry is computed
+/// once); they are only incremented with relaxed atomics, so read them
 /// after the parallel work completes.
 struct BatchVerifyStats {
   std::uint64_t verified = 0;        ///< certificates verified

@@ -5,27 +5,47 @@
 
 namespace sm::scan {
 
-CertId ScanArchive::intern(const CertRecord& record) {
-  const auto it = by_fingerprint_.find(record.fingerprint);
-  if (it != by_fingerprint_.end()) return it->second;
-  const CertId id = static_cast<CertId>(certs_.size());
-  by_fingerprint_.emplace(record.fingerprint, id);
-  certs_.push_back(record);
+CertId CertTable::push_back(CertRecord&& record) {
+  const auto id = static_cast<CertId>(size());
+  if (tail_.empty()) tail_.reserve(kCertChunk);
+  tail_.push_back(std::move(record));
+  if (tail_.size() == kCertChunk) {
+    full_.push_back(std::make_shared<const Chunk>(std::move(tail_)));
+    tail_ = Chunk();
+  }
   return id;
+}
+
+void ScanArchive::catch_up_intern_table() {
+  for (; interned_.indexed < certs_.size(); ++interned_.indexed) {
+    const auto id = static_cast<CertId>(interned_.indexed);
+    interned_.ids.emplace(certs_[id].fingerprint, id);
+  }
+}
+
+template <typename Record>
+CertId ScanArchive::intern_impl(Record&& record) {
+  catch_up_intern_table();
+  const auto [it, inserted] = interned_.ids.try_emplace(
+      record.fingerprint, static_cast<CertId>(certs_.size()));
+  if (!inserted) return it->second;
+  certs_.push_back(CertRecord(std::forward<Record>(record)));
+  ++interned_.indexed;
+  return it->second;
+}
+
+CertId ScanArchive::intern(const CertRecord& record) {
+  return intern_impl(record);
 }
 
 CertId ScanArchive::intern(CertRecord&& record) {
-  const auto it = by_fingerprint_.find(record.fingerprint);
-  if (it != by_fingerprint_.end()) return it->second;
-  const CertId id = static_cast<CertId>(certs_.size());
-  by_fingerprint_.emplace(record.fingerprint, id);
-  certs_.push_back(std::move(record));
-  return id;
+  return intern_impl(std::move(record));
 }
 
-bool ScanArchive::find(const CertFingerprint& fingerprint, CertId& out) const {
-  const auto it = by_fingerprint_.find(fingerprint);
-  if (it == by_fingerprint_.end()) return false;
+bool ScanArchive::find(const CertFingerprint& fingerprint, CertId& out) {
+  catch_up_intern_table();
+  const auto it = interned_.ids.find(fingerprint);
+  if (it == interned_.ids.end()) return false;
   out = it->second;
   return true;
 }
@@ -54,8 +74,7 @@ std::size_t ScanArchive::add_scan(ScanData&& scan) {
 }
 
 void ScanArchive::reserve_certs(std::size_t n) {
-  certs_.reserve(n);
-  by_fingerprint_.reserve(n);
+  interned_.ids.reserve(n);
 }
 
 double CertLifetime::days(const std::vector<ScanData>& scans) const {

@@ -807,7 +807,7 @@ bool ArchiveReader::for_each_cert(const CertFn& fn) {
         state_ = State::kError;
         return false;
       }
-      if (fn) fn(id, cert);
+      if (fn) fn(id, std::move(cert));
       ++id;
     }
     std::uint32_t scan_count = 0;
@@ -830,8 +830,8 @@ bool ArchiveReader::for_each_cert(const CertFn& fn) {
         state_ = State::kError;
         return false;
       }
-      for (const CertRecord& cert : chunk) {
-        if (fn) fn(id, cert);
+      for (CertRecord& cert : chunk) {
+        if (fn) fn(id, std::move(cert));
         ++id;
       }
     }
@@ -888,7 +888,7 @@ bool ArchiveReader::for_each_scan(const ScanFn& fn) {
         }
       }
       total_obs += obs_count;
-      if (fn) fn(scan);
+      if (fn) fn(std::move(scan));
     }
   } else {
     for (std::uint64_t s = 0; s < scan_count_; ++s) {
@@ -901,7 +901,7 @@ bool ArchiveReader::for_each_scan(const ScanFn& fn) {
       if (scan.event.start < prev_start) return fail();
       prev_start = scan.event.start;
       total_obs += scan.observations.size();
-      if (fn) fn(scan);
+      if (fn) fn(std::move(scan));
     }
     RawFrame end_frame;
     HeaderV2 header{cert_count_, scan_count_, obs_count_,

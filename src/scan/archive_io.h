@@ -77,15 +77,17 @@ std::optional<ScanArchive> load_archive_file(const std::string& path);
 /// sequentially, so visit certificates (optional) before scans:
 ///
 ///   ArchiveReader reader(in);
-///   reader.for_each_cert([&](CertId id, const CertRecord& cert) { ... });
-///   reader.for_each_scan([&](const ScanData& scan) { ... });
+///   reader.for_each_cert([&](CertId id, CertRecord&& cert) { ... });
+///   reader.for_each_scan([&](ScanData&& scan) { ... });
 ///
-/// Every record is validated exactly as load_archive would (checksums,
-/// bounds, ordering); any failure puts the reader in a sticky error state.
+/// Each record is handed over by rvalue — the reader is done with it — so
+/// a callback that keeps records moves them instead of copying. Every
+/// record is validated exactly as load_archive would (checksums, bounds,
+/// ordering); any failure puts the reader in a sticky error state.
 class ArchiveReader {
  public:
-  using CertFn = std::function<void(CertId, const CertRecord&)>;
-  using ScanFn = std::function<void(const ScanData&)>;
+  using CertFn = std::function<void(CertId, CertRecord&&)>;
+  using ScanFn = std::function<void(ScanData&&)>;
 
   /// Reads and validates the archive header. On failure ok() is false.
   explicit ArchiveReader(std::istream& in);

@@ -935,7 +935,7 @@ void World::Impl::build_revocation() {
     ecosystem->add_authority(entry.cert.subject.to_string(), entry.cert,
                              entry.key, /*trusted=*/true);
   }
-  const std::vector<scan::CertRecord>& certs = result_.archive.certs();
+  const scan::CertTable& certs = result_.archive.certs();
   for (const scan::CertRecord& rec : certs) {
     ecosystem->add_certificate(rec.issuer_dn, rec.serial_hex, rec.not_before);
   }

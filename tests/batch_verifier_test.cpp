@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -186,6 +187,33 @@ TEST(BatchVerifier, MatchesSerialVerifierAtAnyThreadCount) {
     // verification.
     EXPECT_GT(stats.sig_cache_hits, 0u);
     EXPECT_LT(stats.sig_checks, stats.verified + stats.sig_cache_hits);
+  }
+}
+
+// Each memo entry is computed exactly once, so the counters — not just
+// the results — must not depend on the thread count or on how the
+// threads race: repeated runs at 1, 2 and 8 threads all agree.
+TEST(BatchVerifier, StatsAreIdenticalAtEveryThreadCount) {
+  const Fixture f;
+  VerifyOptions options;
+  options.crl_store = &f.crls;
+  const std::vector<Certificate> certs = make_population(f, 140);
+
+  std::optional<BatchVerifyStats> first;
+  for (int run = 0; run < 5; ++run) {
+    for (const std::size_t threads : {1u, 2u, 8u}) {
+      util::ThreadPool workers(threads);
+      const BatchVerifier batch(f.roots, f.pool, options);
+      batch.verify_all(certs, &workers);
+      const BatchVerifyStats stats = batch.stats();
+      if (!first) first = stats;
+      EXPECT_EQ(stats.verified, first->verified)
+          << "run " << run << ", " << threads << " threads";
+      EXPECT_EQ(stats.sig_checks, first->sig_checks)
+          << "run " << run << ", " << threads << " threads";
+      EXPECT_EQ(stats.sig_cache_hits, first->sig_cache_hits)
+          << "run " << run << ", " << threads << " threads";
+    }
   }
 }
 

@@ -1,19 +1,22 @@
 // CorpusIndex correctness: the parallel columnar build (CSR, ASN column,
-// per-cert stats) is compared field-by-field against a brute-force serial
-// recompute over a simulated world, at 1, 2, and 8 build threads — any
-// divergence from the serial reference or between thread counts fails.
-// Also covers the empty archive, interned-but-never-observed certificates,
-// a hand-made archive with a mid-study prefix transfer, and the
-// no-routing-history degenerate case. Runs under TSan and ASan in
-// scripts/tier1.sh.
+// per-cert stats, key-sharing degrees) is compared field-by-field against
+// a brute-force serial recompute over a simulated world, at 1, 2, and 8
+// build threads — any divergence from the serial reference or between
+// thread counts fails. A spine extended from an earlier epoch's must equal
+// the cold build column for column. Also covers the empty archive,
+// interned-but-never-observed certificates, a hand-made archive with a
+// mid-study prefix transfer, and the no-routing-history degenerate case.
+// Runs under TSan and ASan in scripts/tier1.sh.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <map>
 #include <set>
+#include <stdexcept>
 #include <vector>
 
 #include "corpus/corpus_index.h"
+#include "corpus/live.h"
 #include "net/route_table.h"
 #include "scan/archive.h"
 #include "simworld/world.h"
@@ -29,6 +32,7 @@ struct BruteForce {
   std::vector<std::vector<net::Asn>> asns;      // per cert, parallel
   std::vector<CertStats> stats;                 // per cert
   std::vector<scan::DeviceId> first_device;     // per cert
+  std::vector<std::uint32_t> key_degree;        // per cert
 
   BruteForce(const scan::ScanArchive& archive,
              const net::RoutingHistory* routing) {
@@ -54,10 +58,26 @@ struct BruteForce {
       }
     }
 
+    std::map<scan::KeyFingerprint, std::uint32_t> holders;
+    for (const scan::CertRecord& cert : archive.certs()) {
+      ++holders[cert.key_fingerprint];
+    }
+    for (const scan::CertRecord& cert : archive.certs()) {
+      key_degree.push_back(holders[cert.key_fingerprint]);
+    }
+
     for (std::size_t id = 0; id < n; ++id) {
       CertStats& s = stats[id];
       std::map<std::uint32_t, std::set<std::uint32_t>> ips_by_scan;
-      for (const Obs& o : obs[id]) ips_by_scan[o.scan].insert(o.ip);
+      std::set<std::uint32_t> ips;
+      std::set<std::uint32_t> slash24s;
+      for (const Obs& o : obs[id]) {
+        ips_by_scan[o.scan].insert(o.ip);
+        ips.insert(o.ip);
+        slash24s.insert(o.ip >> 8);
+      }
+      s.distinct_ips = static_cast<std::uint32_t>(ips.size());
+      s.distinct_slash24s = static_cast<std::uint32_t>(slash24s.size());
       if (!ips_by_scan.empty()) {
         s.first_scan = ips_by_scan.begin()->first;
         s.last_scan = ips_by_scan.rbegin()->first;
@@ -77,6 +97,7 @@ struct BruteForce {
         std::map<net::Asn, std::uint64_t> tally;
         for (const net::Asn asn : asns[id]) ++tally[asn];
         s.distinct_as_count = static_cast<std::uint32_t>(tally.size());
+        s.unroutable_seen = tally.contains(0);
         std::uint64_t best = 0;
         for (const auto& [asn, count] : tally) {
           if (count > best) {
@@ -88,6 +109,22 @@ struct BruteForce {
     }
   }
 };
+
+void expect_stats_eq(const CertStats& got, const CertStats& want,
+                     scan::CertId id) {
+  EXPECT_EQ(got.scans_seen, want.scans_seen) << "cert " << id;
+  EXPECT_EQ(got.first_scan, want.first_scan) << "cert " << id;
+  EXPECT_EQ(got.last_scan, want.last_scan) << "cert " << id;
+  EXPECT_EQ(got.distinct_ips, want.distinct_ips) << "cert " << id;
+  EXPECT_EQ(got.total_ip_scan_slots, want.total_ip_scan_slots)
+      << "cert " << id;
+  EXPECT_EQ(got.max_ips_in_scan, want.max_ips_in_scan) << "cert " << id;
+  EXPECT_EQ(got.min_ips_in_scan, want.min_ips_in_scan) << "cert " << id;
+  EXPECT_EQ(got.distinct_slash24s, want.distinct_slash24s) << "cert " << id;
+  EXPECT_EQ(got.distinct_as_count, want.distinct_as_count) << "cert " << id;
+  EXPECT_EQ(got.majority_as, want.majority_as) << "cert " << id;
+  EXPECT_EQ(got.unroutable_seen, want.unroutable_seen) << "cert " << id;
+}
 
 void expect_matches(const CorpusIndex& index, const BruteForce& expected) {
   ASSERT_EQ(index.cert_count(), expected.stats.size());
@@ -106,22 +143,37 @@ void expect_matches(const CorpusIndex& index, const BruteForce& expected) {
       EXPECT_EQ(asns[i], expected.asns[id][i])
           << "cert " << id << " obs " << i;
     }
-    const CertStats& got = index.stats(id);
-    const CertStats& want = expected.stats[id];
-    EXPECT_EQ(got.scans_seen, want.scans_seen) << "cert " << id;
-    EXPECT_EQ(got.first_scan, want.first_scan) << "cert " << id;
-    EXPECT_EQ(got.last_scan, want.last_scan) << "cert " << id;
-    EXPECT_EQ(got.total_ip_scan_slots, want.total_ip_scan_slots)
-        << "cert " << id;
-    EXPECT_EQ(got.max_ips_in_scan, want.max_ips_in_scan) << "cert " << id;
-    EXPECT_EQ(got.min_ips_in_scan, want.min_ips_in_scan) << "cert " << id;
-    EXPECT_EQ(got.distinct_as_count, want.distinct_as_count) << "cert " << id;
-    EXPECT_EQ(got.majority_as, want.majority_as) << "cert " << id;
+    expect_stats_eq(index.stats(id), expected.stats[id], id);
     EXPECT_EQ(index.first_device(id), expected.first_device[id])
         << "cert " << id;
+    EXPECT_EQ(index.key_degree(id), expected.key_degree[id]) << "cert " << id;
   }
   EXPECT_EQ(index.observation_count(), total);
   EXPECT_EQ(index.observation_count(), index.archive().observation_count());
+}
+
+// Column-for-column equality of two spines over the same archive.
+void expect_same_columns(const CorpusIndex& got, const CorpusIndex& want) {
+  ASSERT_EQ(got.cert_count(), want.cert_count());
+  ASSERT_EQ(got.scan_count(), want.scan_count());
+  ASSERT_EQ(got.observation_count(), want.observation_count());
+  for (scan::CertId id = 0; id < want.cert_count(); ++id) {
+    const auto obs = got.observations(id);
+    const auto want_obs = want.observations(id);
+    // Equal row starts at every id mean equal CSR offsets.
+    ASSERT_EQ(obs.data() - got.observations(0).data(),
+              want_obs.data() - want.observations(0).data())
+        << "cert " << id;
+    ASSERT_EQ(obs.size(), want_obs.size()) << "cert " << id;
+    for (std::size_t i = 0; i < obs.size(); ++i) {
+      EXPECT_EQ(obs[i].scan, want_obs[i].scan) << "cert " << id;
+      EXPECT_EQ(obs[i].ip, want_obs[i].ip) << "cert " << id;
+      EXPECT_EQ(got.asns(id)[i], want.asns(id)[i]) << "cert " << id;
+    }
+    expect_stats_eq(got.stats(id), want.stats(id), id);
+    EXPECT_EQ(got.first_device(id), want.first_device(id)) << "cert " << id;
+    EXPECT_EQ(got.key_degree(id), want.key_degree(id)) << "cert " << id;
+  }
 }
 
 const simworld::WorldResult& small_world() {
@@ -134,6 +186,12 @@ const simworld::WorldResult& small_world() {
     return simworld::World(config).run();
   }();
   return world;
+}
+
+// Scans [0, last) of `world`, certificates re-interned densely in
+// first-observation order: a live corpus's epoch-0 archive.
+scan::ScanArchive live_base(const scan::ScanArchive& world, std::size_t last) {
+  return extract_segment(world, 0, last);
 }
 
 TEST(CorpusIndex, MatchesSerialBruteForceAtEveryThreadCount) {
@@ -151,6 +209,85 @@ TEST(CorpusIndex, MatchesSerialBruteForceAtEveryThreadCount) {
     SCOPED_TRACE(testing::Message() << threads << " threads");
     expect_matches(index, expected);
   }
+}
+
+scan::CertRecord record_with_fingerprint(std::uint8_t tag) {
+  scan::CertRecord record;
+  record.fingerprint.fill(tag);
+  return record;
+}
+
+// The archive that `prefix` grows into by the world's scans [first, last)
+// — the shape LiveCorpus::append_segment produces: every prefix cert and
+// scan kept, re-observed certs keep their ids, unseen ones append. The
+// extension also interns a never-observed certificate and, observed in
+// its first scan, a new holder of cert 0's key.
+scan::ScanArchive grow(const scan::ScanArchive& prefix,
+                       const scan::ScanArchive& world, std::size_t first,
+                       std::size_t last, std::uint8_t tag) {
+  scan::ScanArchive next = prefix;
+  next.intern(record_with_fingerprint(tag));  // never observed
+  scan::CertRecord sharer = record_with_fingerprint(tag + 1);
+  sharer.key_fingerprint = prefix.cert(0).key_fingerprint;
+  const scan::CertId sharer_id = next.intern(sharer);
+  for (std::size_t s = first; s < last; ++s) {
+    scan::ScanData scan{world.scans()[s].event, {}};
+    for (const scan::Observation& obs : world.scans()[s].observations) {
+      scan.observations.push_back(
+          {next.intern(world.cert(obs.cert)), obs.ip, obs.device});
+    }
+    if (s == first) {
+      scan.observations.push_back({sharer_id, 0x0a000001, scan::kNoDevice});
+    }
+    next.add_scan(std::move(scan));
+  }
+  return next;
+}
+
+// A spine extended from an earlier epoch's equals the cold build of the
+// grown archive, column for column, at every thread count — whether the
+// extension adds one scan or three, and across new certificates,
+// re-observed ones, never-observed ones (in the prefix and in the
+// extension) and a certificate whose key gains a holder.
+TEST(CorpusIndex, ExtendedSpineEqualsColdBuild) {
+  const auto& world = small_world();
+  const std::size_t scans = world.archive.scans().size();
+  ASSERT_GT(scans, 4u);
+  scan::ScanArchive base = live_base(world.archive, scans - 3);
+  base.intern(record_with_fingerprint(0xe0));  // never observed, in prefix
+  const scan::ScanArchive one = grow(base, world.archive, scans - 3,
+                                     scans - 2, 0xe1);
+  const scan::ScanArchive three = grow(base, world.archive, scans - 3,
+                                       scans, 0xe3);
+  ASSERT_GT(three.certs().size(), base.certs().size() + 2);
+
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    SCOPED_TRACE(testing::Message() << threads << " threads");
+    util::ThreadPool pool(threads);
+    const CorpusOptions options{&world.routing, &pool};
+    const CorpusIndex prefix(base, options);
+    for (const scan::ScanArchive* grown : {&one, &three}) {
+      const CorpusIndex cold(*grown, options);
+      const CorpusIndex extended(*grown, prefix, options);
+      expect_same_columns(extended, cold);
+      expect_matches(cold, BruteForce(*grown, &world.routing));
+      // The new holder (at least) raised cert 0's degree.
+      EXPECT_GT(extended.key_degree(0), prefix.key_degree(0));
+    }
+  }
+}
+
+TEST(CorpusIndex, ExtendRejectsAnArchiveThatIsNotAnExtension) {
+  const auto& world = small_world();
+  const std::size_t scans = world.archive.scans().size();
+  const scan::ScanArchive base = live_base(world.archive, scans - 2);
+  const CorpusIndex prefix(base, CorpusOptions{&world.routing, nullptr});
+  // Fewer scans, and a different routing history.
+  const scan::ScanArchive shorter = live_base(world.archive, scans - 3);
+  EXPECT_THROW(CorpusIndex(shorter, prefix,
+                           CorpusOptions{&world.routing, nullptr}),
+               std::invalid_argument);
+  EXPECT_THROW(CorpusIndex(base, prefix), std::invalid_argument);
 }
 
 TEST(CorpusIndex, LifetimeDaysMatchesComputeLifetimes) {
@@ -172,12 +309,6 @@ TEST(CorpusIndex, EmptyArchiveYieldsEmptySpine) {
   EXPECT_EQ(index.scan_count(), 0u);
   EXPECT_EQ(index.observation_count(), 0u);
   EXPECT_FALSE(index.has_routing());
-}
-
-scan::CertRecord record_with_fingerprint(std::uint8_t tag) {
-  scan::CertRecord record;
-  record.fingerprint.fill(tag);
-  return record;
 }
 
 TEST(CorpusIndex, InternedButNeverObservedCertHasEmptyRow) {

@@ -11,6 +11,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -447,6 +448,97 @@ TEST_F(LiveIngestTest, RevocationLearnedMidIngestionInvalidatesCache) {
   ASSERT_EQ(frame.type, netio::FrameType::kRevocationInfo);
   EXPECT_NE(frame.payload.find("revocation: revoked"), std::string::npos)
       << frame.payload;
+}
+
+// Epochs share certificate storage: a snapshot held across three appends
+// still renders every certificate byte-identically, and its records are
+// the very objects the latest epoch reads — full chunks are shared, not
+// copied. The base is padded past one chunk so cert 0 sits in a full one.
+TEST_F(LiveIngestTest, EpochsShareCertificateChunksAndStayIntact) {
+  scan::ScanArchive padded = *base_;
+  for (std::uint64_t i = 0; padded.certs().size() <= scan::kCertChunk; ++i) {
+    scan::CertRecord filler;  // never observed
+    filler.fingerprint.fill(0xee);
+    std::memcpy(filler.fingerprint.data() + 1, &i, sizeof i);
+    padded.intern(std::move(filler));
+  }
+  LiveCorpus live(std::move(padded), &world_->routing);
+  const auto snap0 = live.snapshot();
+  std::vector<std::string> before;
+  {
+    const auto index0 = index_of(*snap0);
+    for (scan::CertId id = 0; id < index0->size(); ++id) {
+      before.push_back(render_knowledge(index0->knowledge(id)));
+    }
+  }
+  for (std::size_t k = 0; k < kSegments; ++k) {
+    const AppendResult result = append(live, k);
+    ASSERT_TRUE(result.ok) << result.error;
+  }
+  const auto snap_n = live.snapshot();
+  EXPECT_EQ(snap_n->epoch, kSegments);
+  EXPECT_GT(snap_n->archive->certs().size(), snap0->archive->certs().size());
+  EXPECT_EQ(&snap0->archive->cert(0), &snap_n->archive->cert(0));
+
+  const auto again = index_of(*snap0);
+  ASSERT_EQ(again->size(), before.size());
+  for (scan::CertId id = 0; id < again->size(); ++id) {
+    ASSERT_EQ(render_knowledge(again->knowledge(id)), before[id])
+        << "cert " << id;
+  }
+}
+
+// merge_slice appends to a shared certificate table and retire_prefix
+// rebuilds it; each still answers exactly as its oracle — a cold index
+// over the same certificates with the same full-corpus key degrees.
+TEST_F(LiveIngestTest, MergeAndRetireMatchTheirOracles) {
+  constexpr std::uint8_t kSplit = 128;
+  const scan::ScanArchive& full = world_->archive;
+  KeyCountMap counts;
+  for (const scan::CertRecord& cert : full.certs()) {
+    ++counts[cert.key_fingerprint];
+  }
+  // Every certificate of `oracle_archive` answers identically from `snap`;
+  // every other certificate of the world is unknown to it.
+  const auto expect_oracle = [&](const LiveSnapshot& snap,
+                                 const scan::ScanArchive& oracle_archive) {
+    notary::NotaryIndexOptions options;
+    options.key_counts = &counts;
+    const CorpusIndex oracle_spine(oracle_archive,
+                                   CorpusOptions{&world_->routing, nullptr});
+    const NotaryIndex oracle(oracle_spine, options);
+    options.key_counts = snap.key_counts.get();
+    const NotaryIndex got(*snap.spine, options);
+    ASSERT_EQ(got.size(), oracle.size());
+    for (const scan::CertRecord& cert : full.certs()) {
+      const notary::CertKnowledge* want = oracle.lookup(cert.fingerprint);
+      const notary::CertKnowledge* have = got.lookup(cert.fingerprint);
+      ASSERT_EQ(have == nullptr, want == nullptr);
+      if (want != nullptr) {
+        ASSERT_EQ(render_knowledge(*have), render_knowledge(*want));
+      }
+    }
+  };
+
+  LiveCorpus live(extract_prefix_slice(full, 0, kSplit - 1), &world_->routing,
+                  nullptr, {}, counts);
+  const auto lower = live.snapshot();
+  std::ostringstream smar;
+  ASSERT_TRUE(scan::save_archive(extract_prefix_slice(full, kSplit, 255),
+                                 smar));
+  std::istringstream in(smar.str());
+  const AppendResult merged = live.merge_slice(in, &counts, nullptr);
+  ASSERT_TRUE(merged.ok) << merged.error;
+  const auto whole = live.snapshot();
+  // Existing ids are stable across the merge.
+  for (scan::CertId id = 0; id < lower->archive->certs().size(); ++id) {
+    ASSERT_EQ(whole->archive->cert(id).fingerprint,
+              lower->archive->cert(id).fingerprint);
+  }
+  expect_oracle(*whole, full);
+
+  ASSERT_TRUE(live.retire_prefix(kSplit, 255).ok);
+  expect_oracle(*live.snapshot(), extract_prefix_slice(full, 0, kSplit - 1));
 }
 
 // The kSnapshot request reports the live epoch and its scan horizon over

@@ -22,6 +22,7 @@
 #include "notary/index.h"
 #include "notary/service.h"
 #include "simworld/world.h"
+#include "util/datetime.h"
 #include "util/thread_pool.h"
 
 namespace sm::notary {
@@ -125,17 +126,42 @@ TEST(NotaryIndex, KeySharingCountsCertsPerSpki) {
   EXPECT_TRUE(any_shared);
 }
 
+// find() returns each certificate's exact archive id — the key its cached
+// render lives under — over the micro world and over an archive spanning
+// several entry chunks.
 TEST(NotaryIndex, LookupFindsEveryCertAndRejectsUnknown) {
-  const auto& world = micro_world();
-  const NotaryIndex index(micro_spine());
-  for (scan::CertId id = 0; id < world.archive.certs().size(); ++id) {
-    const CertKnowledge* k = index.lookup(world.archive.cert(id).fingerprint);
-    ASSERT_NE(k, nullptr);
-    EXPECT_EQ(k, &index.knowledge(id));
+  scan::ScanArchive wide;
+  for (std::uint64_t i = 0; i < 10'000; ++i) {
+    scan::CertRecord record;
+    const std::uint64_t a = (i + 1) * 0x9e3779b97f4a7c15ull;
+    const std::uint64_t b = a ^ (a >> 29) ^ i;
+    std::memcpy(record.fingerprint.data(), &a, sizeof a);
+    std::memcpy(record.fingerprint.data() + sizeof a, &b, sizeof b);
+    record.key_fingerprint = i % 97;
+    wide.intern(std::move(record));
   }
-  scan::CertFingerprint unknown{};
-  unknown.fill(0xfe);
-  EXPECT_EQ(index.lookup(unknown), nullptr);
+  scan::ScanEvent event;
+  event.start = util::make_date(2013, 3, 1);
+  const std::size_t scan = wide.begin_scan(event);
+  for (scan::CertId id = 0; id < wide.certs().size(); id += 7) {
+    wide.add_observation(scan, id, 0x0a000000 + id, scan::kNoDevice);
+  }
+  const corpus::CorpusIndex wide_spine(wide);
+
+  for (const corpus::CorpusIndex* spine : {&micro_spine(), &wide_spine}) {
+    const scan::ScanArchive& archive = spine->archive();
+    const NotaryIndex index(*spine);
+    for (scan::CertId id = 0; id < archive.certs().size(); ++id) {
+      const scan::CertFingerprint& fp = archive.cert(id).fingerprint;
+      ASSERT_EQ(index.find(fp), id);
+      ASSERT_EQ(index.lookup(fp), &index.knowledge(id));
+      ASSERT_EQ(index.knowledge(id).fingerprint, fp);
+    }
+    scan::CertFingerprint unknown{};
+    unknown.fill(0xfe);
+    EXPECT_EQ(index.find(unknown), NotaryIndex::kUnknownCert);
+    EXPECT_EQ(index.lookup(unknown), nullptr);
+  }
 }
 
 TEST(NotaryIndex, RenderedResponsesAreThreadCountInvariant) {

@@ -225,14 +225,14 @@ int cmd_stat(const Options& opts) {
   std::printf("format:        SMAR v%u\n", reader.version());
 
   std::uint64_t valid = 0, invalid = 0, transvalid = 0, san_entries = 0;
-  reader.for_each_cert([&](scan::CertId, const scan::CertRecord& cert) {
+  reader.for_each_cert([&](scan::CertId, scan::CertRecord&& cert) {
     (cert.valid ? valid : invalid) += 1;
     if (cert.transvalid) ++transvalid;
     san_entries += cert.san.size();
   });
   std::uint64_t scans = 0, observations = 0, max_obs = 0;
   std::uint64_t per_campaign[2] = {0, 0};
-  reader.for_each_scan([&](const scan::ScanData& scan) {
+  reader.for_each_scan([&](scan::ScanData&& scan) {
     ++scans;
     observations += scan.observations.size();
     max_obs = std::max<std::uint64_t>(max_obs, scan.observations.size());
